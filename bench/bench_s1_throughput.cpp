@@ -5,12 +5,10 @@
 /// embarrassingly parallel — the service scales near-linearly with worker
 /// threads while producing byte-identical answers at every thread count
 /// (the dynamic shard schedule affects only *when* a query runs, never its
-/// result). We serve the same traffic through BOTH serving paths (the
-/// legacy sim/-adapter path and the default flat compiled view) at 1, 2,
-/// 4, ... threads each, report throughput, latency percentiles and
-/// stretch, and cross-check every run's answers against the legacy
-/// single-threaded reference — the flat path must be faster AND
-/// answer-identical.
+/// result). We serve the same traffic at 1, 2, 4, ... threads, report
+/// throughput, latency percentiles and stretch, and cross-check every
+/// run's answers against the sim/ reference: the same scheme preprocessed
+/// from the same seeds and walked hop by hop by the Simulator.
 ///
 /// Churn mode (--churn=C, default 3; 0 disables): after the static runs,
 /// the same traffic is replayed per thread count while a SchemeManager
@@ -32,7 +30,7 @@
 /// the old full-re-metric regime).
 ///
 /// Flags: --n --family --scheme --workload --queries --batch --k --seed
-///        --threads (comma list) --json out.json --flat-only
+///        --threads (comma list) --json out.json
 ///        --batch-group=G (flat pipeline depth; 0 = scalar serving)
 ///        --churn=C --churn-seed=S
 ///        --churn-reweight=F --churn-remove=F --churn-add=F
@@ -46,17 +44,16 @@
 /// the JSON), with the recovered service checked answer-identical.
 ///
 /// Note: the speedup column reflects the machine's core count; on a
-/// single-core container every thread count serves at the same rate, but
-/// the flat-vs-legacy ratio is visible at any core count.
+/// single-core host every thread count serves at the same rate.
 
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "../tests/sim_reference.hpp"
 #include "bench_common.hpp"
 #include "obs/export.hpp"
 #include "service/cli.hpp"
@@ -81,6 +78,33 @@ std::vector<unsigned> parse_thread_list(const std::string& spec) {
   }
   if (threads.empty()) threads = {1, 2, 4};
   return threads;
+}
+
+/// The sim/ reference answers for \p traffic under \p opt, shaped as
+/// path-less RouteAnswers so every run compares with same_route.
+/// Self-queries get the service's defined answer (delivered, 0 hops,
+/// stretch 1); the Simulator has no notion of them.
+std::vector<RouteAnswer> sim_reference(const Graph& g,
+                                       const RouteServiceOptions& opt,
+                                       const std::vector<RouteQuery>& traffic) {
+  const SimReference ref(g, opt, /*record_path=*/false);
+  std::vector<RouteAnswer> out(traffic.size());
+  for (std::size_t i = 0; i < traffic.size(); ++i) {
+    const RouteQuery& q = traffic[i];
+    RouteAnswer& a = out[i];
+    if (q.s == q.t) {
+      a.status = RouteStatus::kDelivered;
+      a.stretch = 1.0;
+      continue;
+    }
+    const RouteResult r = ref.route(q.s, q.t);
+    a.status = r.status;
+    a.length = r.length;
+    a.hops = r.hops;
+    a.header_bits = r.header_bits;
+    if (a.delivered() && q.exact > 0) a.stretch = a.length / q.exact;
+  }
+  return out;
 }
 
 }  // namespace
@@ -135,117 +159,89 @@ int main(int argc, char** argv) try {
       .set("sampling", std::string(sampling_name(sampling)));
   bench::add_host_metadata(report);
 
-  const bool flat_only = flags.get_bool("flat-only", false);
-  std::vector<bool> flat_modes;
-  if (!flat_only) flat_modes.push_back(false);
-  flat_modes.push_back(true);
-
-  double qps_base = 0;           // legacy (or first) run at 1 thread
-  double legacy_qps_1t = 0, flat_qps_1t = 0;
   // Identity is checked over status/length/hops/header_bits/stretch —
   // paths are off here (recording them would tax the timed runs);
-  // path-level flat-vs-legacy equivalence is test_flat_scheme's job.
-  // The reference service stays alive anyway so reference answers could
-  // never dangle if paths were ever enabled.
-  std::vector<RouteAnswer> reference;
-  std::unique_ptr<RouteService> reference_service;
+  // path-level equivalence to sim/ is test_flat_scheme's job.
+  const std::vector<RouteAnswer> reference =
+      sim_reference(g, setup.service, traffic);
+  double qps_base = 0;  // first run (fewest threads)
   bool all_identical = true;
-  for (const bool use_flat : flat_modes) {
-    for (const unsigned t : thread_counts) {
-      RouteServiceOptions opt = setup.service;
-      opt.threads = t;
-      opt.use_flat = use_flat;
-      bench::Stopwatch preprocess_watch;
-      auto service = std::make_unique<RouteService>(g, opt);
-      const double preprocess_s = preprocess_watch.seconds();
+  for (const unsigned t : thread_counts) {
+    RouteServiceOptions opt = setup.service;
+    opt.threads = t;
+    bench::Stopwatch preprocess_watch;
+    RouteService service(g, opt);
+    const double preprocess_s = preprocess_watch.seconds();
 
-      // Warm one batch (first-touch, pool spin-up), then measure.
-      const std::vector<RouteQuery> warm(
-          traffic.begin(),
-          traffic.begin() + std::min<std::size_t>(traffic.size(), batch));
-      service->route_collect(warm);
+    // Warm one batch (first-touch, pool spin-up), then measure.
+    const std::vector<RouteQuery> warm(
+        traffic.begin(),
+        traffic.begin() + std::min<std::size_t>(traffic.size(), batch));
+    service.route_collect(warm);
 
-      DriverOptions dopt;
-      dopt.batch_size = batch;
-      // Interval metrics over exactly the measured loop (metrics are on
-      // by default — the qps rows price the observability layer): the
-      // delta of two registry snapshots isolates this run's samples.
-      const obs::MetricsSnapshot snap_before =
-          obs::snapshot_metrics(*service->metrics_registry());
-      const DriverReport r = run_closed_loop(*service, traffic, dopt);
-      const obs::MetricsSnapshot snap_delta = obs::metrics_delta(
-          obs::snapshot_metrics(*service->metrics_registry()), snap_before);
-      const auto* hist = snap_delta.find_histogram("croute_query_latency_us");
+    DriverOptions dopt;
+    dopt.batch_size = batch;
+    // Interval metrics over exactly the measured loop (metrics are on
+    // by default — the qps rows price the observability layer): the
+    // delta of two registry snapshots isolates this run's samples.
+    const obs::MetricsSnapshot snap_before =
+        obs::snapshot_metrics(*service.metrics_registry());
+    const DriverReport r = run_closed_loop(service, traffic, dopt);
+    const obs::MetricsSnapshot snap_delta = obs::metrics_delta(
+        obs::snapshot_metrics(*service.metrics_registry()), snap_before);
+    const auto* hist = snap_delta.find_histogram("croute_query_latency_us");
 
-      // Invariance: every run (either path, any thread count) serves the
-      // same answers as the first run.
-      std::vector<RouteAnswer> answers = service->route_collect(traffic);
-      bool identical = true;
-      if (reference.empty()) {
-        reference = std::move(answers);
-        reference_service = std::move(service);
-      } else {
-        for (std::size_t i = 0; i < reference.size(); ++i) {
-          if (!same_route(reference[i], answers[i])) {
-            identical = false;
-            break;
-          }
-        }
-      }
-      all_identical = all_identical && identical;
-
-      if (qps_base == 0) qps_base = r.qps;
-      if (t == thread_counts.front()) {
-        (use_flat ? flat_qps_1t : legacy_qps_1t) = r.qps;
-      }
-      const double speedup = qps_base > 0 ? r.qps / qps_base : 0;
-      const char* path_name = use_flat ? "flat" : "legacy";
-      std::printf("%8s %8u %12.0f %8.2fx %10.2f %10.2f %10.2f %8.3f %6s\n",
-                  path_name, t, r.qps, speedup, r.latency_p50_us,
-                  r.latency_p95_us, r.latency_p99_us, r.stretch.mean,
-                  identical ? "yes" : "NO");
-
-      // Latency semantics differ by serving mode: scalar rows measure each
-      // query's own wall time, batched rows its amortized share of the
-      // pipeline generation — marked so trajectory readers don't compare
-      // the two as one metric.
-      const char* latency_metric = use_flat && batch_group > 0
-                                       ? "group_amortized"
-                                       : "per_query";
-      report.add_row("runs")
-          .set("path", std::string(path_name))
-          .set("threads", std::uint64_t{t})
-          .set("qps", r.qps)
-          .set("speedup", speedup)
-          .set("latency_metric", std::string(latency_metric))
-          .set("p50_us", r.latency_p50_us)
-          .set("p95_us", r.latency_p95_us)
-          .set("p99_us", r.latency_p99_us)
-          // The histogram-derived percentiles (log buckets, <= 1.25x
-          // relative error) next to the exact sorted-sample ones above —
-          // what a scraper would report vs what the driver measured.
-          .set("hist_p50_us", hist != nullptr ? hist->hist.percentile(50) : 0)
-          .set("hist_p95_us", hist != nullptr ? hist->hist.percentile(95) : 0)
-          .set("hist_p99_us", hist != nullptr ? hist->hist.percentile(99) : 0)
-          .set("queue_wait_p99_us", r.queue_wait_p99_us)
-          .set("mean_stretch", r.stretch.mean)
-          .set("max_stretch", r.stretch.max)
-          .set("mean_hops", r.mean_hops)
-          .set("preprocess_s", preprocess_s)
-          .set("delivered", r.delivered)
-          .set("identical", std::string(identical ? "yes" : "no"));
+    // Every run, at any thread count, must serve the sim/ reference's
+    // answers.
+    const std::vector<RouteAnswer> answers = service.route_collect(traffic);
+    bool identical = answers.size() == reference.size();
+    for (std::size_t i = 0; identical && i < reference.size(); ++i) {
+      identical = same_route(reference[i], answers[i]);
     }
+    all_identical = all_identical && identical;
+
+    if (qps_base == 0) qps_base = r.qps;
+    const double speedup = qps_base > 0 ? r.qps / qps_base : 0;
+    std::printf("%8s %8u %12.0f %8.2fx %10.2f %10.2f %10.2f %8.3f %6s\n",
+                "flat", t, r.qps, speedup, r.latency_p50_us,
+                r.latency_p95_us, r.latency_p99_us, r.stretch.mean,
+                identical ? "yes" : "NO");
+
+    // Latency semantics differ by serving mode: scalar rows measure each
+    // query's own wall time, batched rows its amortized share of the
+    // pipeline generation — marked so trajectory readers don't compare
+    // the two as one metric.
+    const char* latency_metric =
+        batch_group > 0 ? "group_amortized" : "per_query";
+    report.add_row("runs")
+        .set("path", std::string("flat"))
+        .set("threads", std::uint64_t{t})
+        .set("qps", r.qps)
+        .set("speedup", speedup)
+        .set("latency_metric", std::string(latency_metric))
+        .set("p50_us", r.latency_p50_us)
+        .set("p95_us", r.latency_p95_us)
+        .set("p99_us", r.latency_p99_us)
+        // The histogram-derived percentiles (log buckets, <= 1.25x
+        // relative error) next to the exact sorted-sample ones above —
+        // what a scraper would report vs what the driver measured.
+        .set("hist_p50_us", hist != nullptr ? hist->hist.percentile(50) : 0)
+        .set("hist_p95_us", hist != nullptr ? hist->hist.percentile(95) : 0)
+        .set("hist_p99_us", hist != nullptr ? hist->hist.percentile(99) : 0)
+        .set("queue_wait_p99_us", r.queue_wait_p99_us)
+        .set("mean_stretch", r.stretch.mean)
+        .set("max_stretch", r.stretch.max)
+        .set("mean_hops", r.mean_hops)
+        .set("preprocess_s", preprocess_s)
+        .set("delivered", r.delivered)
+        .set("identical", std::string(identical ? "yes" : "no"));
   }
 
-  std::printf("answers identical across paths and thread counts: %s\n",
+  std::printf("answers identical to the sim/ reference at every thread "
+              "count: %s\n",
               all_identical ? "yes" : "NO");
   report.set("identical_across_runs",
              std::string(all_identical ? "yes" : "no"));
-  if (legacy_qps_1t > 0 && flat_qps_1t > 0) {
-    std::printf("flat vs legacy at %u thread(s): %.2fx\n",
-                thread_counts.front(), flat_qps_1t / legacy_qps_1t);
-    report.set("flat_vs_legacy_1t", flat_qps_1t / legacy_qps_1t);
-  }
 
   // --- churn mode: qps under background rebuild + hot swap ---------------
   const auto churn_cycles =

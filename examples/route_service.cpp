@@ -17,9 +17,9 @@
 ///
 /// Shared flags (parsed by service/cli.hpp, used by every serving
 /// binary): --graph | --family --n [--weighted]  --scheme --k --sampling
-/// --seed --threads --lookup --batch-group [--legacy] --warm
-/// --artifact-dir --artifact-retain --rebuild-retries [--no-metrics]
-/// --workload --queries --batch --source-pool [--exact]
+/// --seed --threads --lookup --batch-group --warm --artifact-dir
+/// --artifact-retain --rebuild-retries [--no-metrics] --workload
+/// --queries --batch --source-pool [--exact]
 ///
 /// Binary-specific flags:
 /// --churn=C (run the closed loop under C background rebuild+swap
@@ -102,14 +102,10 @@ int main(int argc, char** argv) {
     std::printf("graph: n=%u m=%llu\n", g.num_vertices(),
                 static_cast<unsigned long long>(g.num_edges()));
     RouteService service(g, opt);
-    std::printf("service: scheme=%s threads=%u path=%s batch-group=%u "
+    std::printf("service: scheme=%s threads=%u lookup=%s batch-group=%u "
                 "simd=%s%s\n",
                 scheme_name(opt.scheme), service.threads(),
-                opt.use_flat
-                    ? (std::string("flat/") + flat_lookup_name(opt.flat_lookup))
-                          .c_str()
-                    : "legacy",
-                opt.use_flat ? opt.batch_group : 0,
+                flat_lookup_name(opt.flat_lookup), opt.batch_group,
                 simd::ops().name,
                 opt.warm_start_path.empty()
                     ? ""

@@ -278,8 +278,7 @@ void flush_writes(LoopCtx& ctx, NetServer::Conn& c) {
 
 /// True when this service build can serve label-addressed queries.
 bool labels_supported(const RouteService& service) {
-  const RouteServiceOptions& o = service.options();
-  return o.use_flat && o.scheme == SchemeKind::kTZDirect;
+  return service.options().scheme == SchemeKind::kTZDirect;
 }
 
 /// Validates one wire label against the serving codec without touching

@@ -459,7 +459,7 @@ void write_header(BinaryWriter& w, const ArtifactMeta& meta,
   w.u32(kArtifactFormatVersion);
   w.u8(static_cast<std::uint8_t>(meta.scheme));
   w.u8(static_cast<std::uint8_t>(meta.sampling));
-  w.u8(meta.use_flat ? 1 : 0);
+  w.u8(1);  // byte 14, formerly use_flat: see parse_header
   w.u8(static_cast<std::uint8_t>(meta.flat_lookup));
   w.u8(meta.warm_started ? 1 : 0);
   w.u32(meta.k);
@@ -506,7 +506,13 @@ ParsedHeader parse_header(std::string_view bytes) {
   const std::uint8_t sampling = r.u8();
   if (sampling > 1) reject("unknown sampling mode in header");
   h.meta.sampling = static_cast<SamplingMode>(sampling);
-  h.meta.use_flat = r.u8() != 0;
+  // Byte 14 held the since-removed use_flat option. Every artifact this
+  // build serves carries 1; a 0 names a generation of the deleted
+  // sim/-adapter serving path, which has nothing this build can load.
+  if (r.u8() != 1) {
+    reject("header byte 14 is not 1: the artifact was written for the "
+           "removed legacy (sim/-adapter) serving path");
+  }
   const std::uint8_t lookup = r.u8();
   if (lookup > 1) reject("unknown flat lookup layout in header");
   h.meta.flat_lookup = static_cast<FlatLookup>(lookup);
@@ -604,33 +610,16 @@ std::uint64_t content_options_digest(const RouteServiceOptions& options) {
   h = mix64(h ^ options.k);
   h = mix64(h ^ static_cast<std::uint64_t>(options.sampling));
   h = mix64(h ^ options.seed);
-  h = mix64(h ^ (options.use_flat ? 1 : 2));
+  // The former use_flat term, fixed at its flat value: dropping it would
+  // change every digest, and a service upgraded past its removal must
+  // still recover the artifacts its predecessor wrote.
+  h = mix64(h ^ 1);
   h = mix64(h ^ static_cast<std::uint64_t>(options.flat_lookup));
   return h;
 }
 
-bool package_persistable(const SchemePackage& pkg, std::string* reason) {
-  const bool is_tz = pkg.options.scheme == SchemeKind::kTZDirect ||
-                     pkg.options.scheme == SchemeKind::kTZHandshake;
-  if (!pkg.options.use_flat && !is_tz) {
-    if (reason != nullptr) {
-      *reason =
-          "legacy (use_flat=false) Cowen/full-table preprocessing has no "
-          "serialized form — only their flat pools do";
-    }
-    return false;
-  }
-  if (reason != nullptr) reason->clear();
-  return true;
-}
-
 std::string encode_package(const SchemePackage& pkg,
                            std::uint64_t generation) {
-  std::string why;
-  if (!package_persistable(pkg, &why)) {
-    throw std::invalid_argument("encode_package: " + why);
-  }
-
   std::vector<std::pair<std::uint32_t, std::string>> payloads;
   payloads.emplace_back(kSecGraph, encode_graph_section(*pkg.graph));
   if (pkg.tz != nullptr) {
@@ -658,7 +647,6 @@ std::string encode_package(const SchemePackage& pkg,
   meta.format_version = kArtifactFormatVersion;
   meta.scheme = pkg.options.scheme;
   meta.sampling = pkg.options.sampling;
-  meta.use_flat = pkg.options.use_flat;
   meta.flat_lookup = pkg.options.flat_lookup;
   meta.warm_started = !pkg.options.warm_start_path.empty();
   meta.k = pkg.options.k;
@@ -729,8 +717,7 @@ SchemePackagePtr decode_package(std::string_view bytes,
   if (h.meta.options_digest != content_options_digest(serving)) {
     reject(
         "built under different construction options (digest mismatch: "
-        "k/sampling/seed/use_flat/flat_lookup changed) — refusing to serve "
-        "it");
+        "k/sampling/seed/flat_lookup changed) — refusing to serve it");
   }
 
   auto pkg = std::make_shared<SchemePackage>();
@@ -756,20 +743,15 @@ SchemePackagePtr decode_package(std::string_view bytes,
     MemBuf buf(tz_bytes.data(), tz_bytes.size());
     std::istream is(&buf);
     pkg->tz = std::make_unique<const TZScheme>(load_scheme(is, g));
-    if (serving.use_flat) {
-      const Section* sec = find_section(h, kSecFlatTZ);
-      const std::string_view fb = section_bytes(bytes, h, kSecFlatTZ);
-      SpanReader r(fb, sec->offset);
-      pkg->flat = ArtifactCodec::decode_flat(r, *pkg->tz);
-      if (pkg->flat->lookup_kind() != serving.flat_lookup) {
-        reject("FLAT_TZ: pooled lookup layout disagrees with the header");
-      }
-      pkg->flat_router = std::make_unique<const FlatRouter>(*pkg->flat);
-      pkg->flat_stats = pkg->flat->compile_stats();
-    } else {
-      pkg->sim = std::make_unique<const Simulator>(
-          g, SimOptions{0, serving.record_paths});
+    const Section* sec = find_section(h, kSecFlatTZ);
+    const std::string_view fb = section_bytes(bytes, h, kSecFlatTZ);
+    SpanReader r(fb, sec->offset);
+    pkg->flat = ArtifactCodec::decode_flat(r, *pkg->tz);
+    if (pkg->flat->lookup_kind() != serving.flat_lookup) {
+      reject("FLAT_TZ: pooled lookup layout disagrees with the header");
     }
+    pkg->flat_router = std::make_unique<const FlatRouter>(*pkg->flat);
+    pkg->flat_stats = pkg->flat->compile_stats();
   } else if (serving.scheme == SchemeKind::kCowen) {
     const Section* sec = find_section(h, kSecFlatCowen);
     const std::string_view cb = section_bytes(bytes, h, kSecFlatCowen);

@@ -54,7 +54,6 @@ struct ArtifactMeta {
   std::uint32_t format_version = 0;
   SchemeKind scheme = SchemeKind::kTZDirect;
   SamplingMode sampling = SamplingMode::kCentered;
-  bool use_flat = true;
   FlatLookup flat_lookup = FlatLookup::kEytzinger;
   bool warm_started = false;  ///< generation originated from a warm start
   std::uint32_t k = 0;
@@ -67,22 +66,13 @@ struct ArtifactMeta {
 };
 
 /// Digest over the options fields that determine a package's bytes
-/// (scheme, k, sampling, seed, use_flat, flat_lookup). Serving knobs
+/// (scheme, k, sampling, seed, flat_lookup). Serving knobs
 /// (threads, batch_group, metrics, record_paths) do not participate: a
 /// recovered artifact serves under whatever serving options the process
 /// was started with.
 std::uint64_t content_options_digest(const RouteServiceOptions& options);
 
-/// Whether \p pkg can be written as an artifact. The only unpersistable
-/// shape is a legacy (use_flat = false) baseline package — CowenScheme /
-/// FullTableScheme preprocessing layouts are not serialized; their flat
-/// pools are. Returns false with a recorded reason instead of throwing:
-/// graceful degradation means the store logs why and the service simply
-/// pays a fresh build on the next start.
-bool package_persistable(const SchemePackage& pkg, std::string* reason);
-
-/// Serializes \p pkg into artifact bytes (throws std::invalid_argument
-/// when !package_persistable).
+/// Serializes \p pkg into artifact bytes.
 std::string encode_package(const SchemePackage& pkg,
                            std::uint64_t generation);
 

@@ -254,12 +254,6 @@ PublishResult ArtifactStore::publish_generation(const SchemePackage& pkg) {
   PublishResult res;
   obs::TraceRecorder::Span span(trace_, "artifact_publish", "persist");
   try {
-    std::string reason;
-    if (!package_persistable(pkg, &reason)) {
-      res.error = reason;
-      if (publish_failures_ != nullptr) publish_failures_->inc();
-      return res;
-    }
     // Sweep .tmp litter from crashed publishes before making more.
     std::error_code ec;
     for (const auto& entry : fs::directory_iterator(options_.dir, ec)) {

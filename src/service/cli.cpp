@@ -1,10 +1,34 @@
 #include "service/cli.hpp"
 
+#include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 #include "graph/io.hpp"
 
 namespace croute {
+
+namespace {
+
+/// Flags::get_int narrowed to the unsigned field it sets. A bare
+/// static_cast would wrap out-of-range input silently (--threads=-1
+/// asking for 2^32 - 1 workers), so anything the field cannot hold is
+/// rejected with the flag's name.
+template <typename T>
+T get_unsigned(const Flags& flags, const std::string& name, T fallback) {
+  static_assert(std::is_unsigned_v<T>);
+  const std::int64_t v =
+      flags.get_int(name, static_cast<std::int64_t>(fallback));
+  if (v < 0 ||
+      static_cast<std::uint64_t>(v) > std::numeric_limits<T>::max()) {
+    throw std::invalid_argument(
+        "--" + name + "=" + std::to_string(v) + " is out of range (want 0.." +
+        std::to_string(std::numeric_limits<T>::max()) + ")");
+  }
+  return static_cast<T>(v);
+}
+
+}  // namespace
 
 GraphFamily parse_family(const std::string& name) {
   if (name == "er") return GraphFamily::kErdosRenyi;
@@ -54,10 +78,10 @@ std::vector<RouteQuery> ServiceSetup::build_traffic(const Graph& g) const {
 
 ServiceSetup parse_service_setup(const Flags& flags) {
   ServiceSetup setup;
-  setup.seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
+  setup.seed = get_unsigned<std::uint64_t>(flags, "seed", 7);
   setup.graph_path = flags.get_string("graph", "");
   setup.family = parse_family(flags.get_string("family", "er"));
-  setup.n = static_cast<VertexId>(flags.get_int("n", 10000));
+  setup.n = get_unsigned<VertexId>(flags, "n", 10000);
   setup.weighted = flags.get_bool("weighted", false);
 
   RouteServiceOptions& opt = setup.service;
@@ -65,13 +89,17 @@ ServiceSetup parse_service_setup(const Flags& flags) {
   // Benches sweep --threads as a comma list ("1,2,4") and override
   // per run; a list here means "binary handles it", not a parse error.
   if (flags.get_string("threads", "").find(',') == std::string::npos) {
-    opt.threads = static_cast<unsigned>(flags.get_int("threads", 0));
+    opt.threads = get_unsigned<unsigned>(flags, "threads", 0);
   }
-  opt.k = static_cast<std::uint32_t>(flags.get_int("k", 3));
+  opt.k = get_unsigned<std::uint32_t>(flags, "k", 3);
   opt.sampling = parse_sampling(flags.get_string("sampling", "centered"));
   opt.seed = setup.seed + 1;
   opt.warm_start_path = flags.get_string("warm", "");
-  opt.use_flat = !flags.get_bool("legacy", false);
+  if (flags.has("legacy")) {
+    throw std::invalid_argument(
+        "--legacy was removed: the service has one (flat) serving path; "
+        "sim/ is the reference it is tested against");
+  }
   const std::string lookup = flags.get_string("lookup", "eytzinger");
   if (lookup != "fks" && lookup != "eytzinger") {
     throw std::invalid_argument("--lookup expects fks or eytzinger, got " +
@@ -79,22 +107,20 @@ ServiceSetup parse_service_setup(const Flags& flags) {
   }
   opt.flat_lookup =
       lookup == "fks" ? FlatLookup::kFKS : FlatLookup::kEytzinger;
-  opt.batch_group = static_cast<std::uint32_t>(
-      flags.get_int("batch-group", opt.batch_group));
+  opt.batch_group = get_unsigned(flags, "batch-group", opt.batch_group);
   opt.persist.dir = flags.get_string("artifact-dir", "");
-  opt.persist.retain = static_cast<std::uint32_t>(
-      flags.get_int("artifact-retain", static_cast<int>(opt.persist.retain)));
-  opt.persist.rebuild_retries = static_cast<std::uint32_t>(flags.get_int(
-      "rebuild-retries", static_cast<int>(opt.persist.rebuild_retries)));
+  opt.persist.retain =
+      get_unsigned(flags, "artifact-retain", opt.persist.retain);
+  opt.persist.rebuild_retries =
+      get_unsigned(flags, "rebuild-retries", opt.persist.rebuild_retries);
   opt.metrics = !flags.get_bool("no-metrics", false);
 
   setup.workload = parse_workload(flags.get_string("workload", "uniform"));
-  setup.queries = static_cast<std::uint32_t>(flags.get_int("queries", 100000));
+  setup.queries = get_unsigned<std::uint32_t>(flags, "queries", 100000);
   setup.exact = flags.get_bool("exact", false);
   setup.traffic.source_pool =
-      static_cast<std::uint32_t>(flags.get_int("source-pool", 64));
-  setup.driver.batch_size =
-      static_cast<std::uint32_t>(flags.get_int("batch", 2048));
+      get_unsigned<std::uint32_t>(flags, "source-pool", 64);
+  setup.driver.batch_size = get_unsigned<std::uint32_t>(flags, "batch", 2048);
 
   const std::string err = setup.validate();
   if (!err.empty()) throw std::invalid_argument(err);

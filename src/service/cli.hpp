@@ -13,9 +13,12 @@
 ///
 /// Shared flags: --graph=FILE | --family=NAME --n=N [--weighted]
 /// --scheme --k --sampling --seed --threads --lookup --batch-group
-/// [--legacy] --warm=FILE --artifact-dir --artifact-retain
-/// --rebuild-retries [--no-metrics] --workload --queries --batch
-/// --source-pool
+/// --warm=FILE --artifact-dir --artifact-retain --rebuild-retries
+/// [--no-metrics] --workload --queries --batch --source-pool
+///
+/// Integer flags are range-checked against the field they set: a value
+/// the field cannot hold (--threads=-1, --batch-group=4294967312) is
+/// rejected with the flag's name instead of wrapping.
 
 #pragma once
 
@@ -70,7 +73,8 @@ struct ServiceSetup {
 };
 
 /// Parses the shared flags into a ServiceSetup and validates it (throws
-/// std::invalid_argument with the validate() message on inconsistency).
+/// std::invalid_argument on an out-of-range integer flag, and with the
+/// validate() message on inconsistency).
 ServiceSetup parse_service_setup(const Flags& flags);
 
 }  // namespace croute

@@ -147,7 +147,7 @@ RouteService::RouteService(const Graph& g, const RouteServiceOptions& options)
   pool_ = std::make_unique<ThreadPool>(options.threads);
   for (unsigned w = 0; w < pool_->size(); ++w) shards_.emplace_back();
   arenas_.resize(pool_->size());
-  if (options_.use_flat && options_.batch_group > 0) {
+  if (options_.batch_group > 0) {
     batch_scratch_.reserve(pool_->size());
     for (unsigned w = 0; w < pool_->size(); ++w) {
       batch_scratch_.emplace_back(options_.batch_group);
@@ -170,13 +170,13 @@ RouteService::RouteService(const Graph& g, const RouteServiceOptions& options)
         "croute_queue_wait_us",
         "Batch dispatch to chunk dequeue at the owning worker", ms);
     hist_batch_ = &metrics_->histogram(
-        "croute_batch_service_us", "route_batch wall time", 1);
+        "croute_batch_service_us", "route() batch wall time", 1);
     ctr_queries_ = &metrics_->counter(
         "croute_queries_total" + scheme_label, "Queries served", ms);
     ctr_delivered_ = &metrics_->counter(
         "croute_delivered_total" + scheme_label, "Queries delivered", ms);
     ctr_batches_ =
-        &metrics_->counter("croute_batches_total", "route_batch calls");
+        &metrics_->counter("croute_batches_total", "route() batches served");
     ctr_swaps_ = &metrics_->counter("croute_swaps_total",
                                     "Published generation flips");
     ctr_rebuilds_ = &metrics_->counter("croute_rebuilds_total",
@@ -237,11 +237,9 @@ void RouteService::publish(SchemePackagePtr next) {
                  "is link churn)");
   CROUTE_REQUIRE(next->options.scheme == options_.scheme,
                  "hot swap must keep the scheme kind");
-  CROUTE_REQUIRE(next->options.use_flat == options_.use_flat,
-                 "hot swap must keep the serving path");
   CROUTE_REQUIRE(next->options.record_paths == options_.record_paths,
-                 "hot swap must keep path recording (the package's "
-                 "Simulator bakes it in)");
+                 "hot swap must keep path recording (a package built under "
+                 "other serving options belongs to a different service)");
   SchemePackagePtr retired;
   {
     std::lock_guard<std::mutex> lock(package_mutex_);
@@ -278,35 +276,6 @@ void RouteService::record_rebuild(const SchemePackage& pkg) {
   }
 }
 
-RouteAnswer RouteService::serve_legacy(const SchemePackage& pkg,
-                                       const RouteQuery& query,
-                                       std::vector<VertexId>* path_out) const {
-  RouteResult r;
-  switch (options_.scheme) {
-    case SchemeKind::kTZDirect:
-      r = route_tz(*pkg.sim, *pkg.tz, query.s, query.t);
-      break;
-    case SchemeKind::kTZHandshake:
-      r = route_tz_handshake(*pkg.sim, *pkg.tz, query.s, query.t);
-      break;
-    case SchemeKind::kCowen:
-      r = route_cowen(*pkg.sim, *pkg.cowen, query.s, query.t);
-      break;
-    case SchemeKind::kFullTable:
-      r = route_full(*pkg.sim, *pkg.full, query.s, query.t);
-      break;
-  }
-  RouteAnswer a;
-  a.status = r.status;
-  a.length = r.length;
-  a.hops = r.hops;
-  a.header_bits = r.header_bits;
-  if (path_out) {
-    path_out->insert(path_out->end(), r.path.begin(), r.path.end());
-  }
-  return a;
-}
-
 CROUTE_HOT RouteAnswer RouteService::serve(const SchemePackage& pkg,
                                            const RouteQuery& query,
                                            std::vector<VertexId>* path_out,
@@ -324,63 +293,56 @@ CROUTE_HOT RouteAnswer RouteService::serve(const SchemePackage& pkg,
     record_hop(path_out, query.s);
     return a;
   }
-  if (!options_.use_flat) {
-    CROUTE_LINT_SUPPRESS(hot_path,
-                         "legacy comparison path (use_flat=false) serves "
-                         "through the allocating simulator by design");
-    a = serve_legacy(pkg, query, path_out);
-  } else {
-    const std::uint32_t max_hops = 4 * n + 16;
-    switch (options_.scheme) {
-      case SchemeKind::kTZDirect: {
-        const FlatHeader h =
-            memo != nullptr
-                ? pkg.flat_router->prepare_resolved(
-                      query.s, query.t, memo->label,
-                      memo->light_pool != nullptr
-                          ? memo->light_pool
-                          : pkg.flat->label_light_pool())
-                : pkg.flat_router->prepare(query.s, query.t);
-        a.header_bits = h.bits;
-        walk(
-            g, query.s, query.t, max_hops,
-            [&](VertexId v) { return pkg.flat_router->step(v, h); }, path_out,
-            a);
-        break;
-      }
-      case SchemeKind::kTZHandshake: {
-        const FlatHeader h = pkg.flat_router->prepare_handshake(query.s,
-                                                                query.t);
-        a.header_bits = h.bits;
-        walk(
-            g, query.s, query.t, max_hops,
-            [&](VertexId v) { return pkg.flat_router->step(v, h); }, path_out,
-            a);
-        break;
-      }
-      case SchemeKind::kCowen: {
-        // Pooled SoA serving: Eytzinger cluster keys with the first-hop
-        // port alongside, home-landmark column pre-resolved in the label.
-        const FlatCowen::Label label = pkg.flat_cowen->label(query.t);
-        a.header_bits = pkg.flat_cowen->label_bits();
-        walk(
-            g, query.s, query.t, max_hops,
-            [&](VertexId v) { return pkg.flat_cowen->step(v, label); },
-            path_out, a);
-        break;
-      }
-      case SchemeKind::kFullTable: {
-        a.header_bits = pkg.flat_full->label_bits();
-        walk(
-            g, query.s, query.t, max_hops,
-            [&](VertexId v) {
-              if (v == query.t) return TreeDecision{true, kNoPort};
-              return TreeDecision{false,
-                                  pkg.flat_full->next_hop(v, query.t)};
-            },
-            path_out, a);
-        break;
-      }
+  const std::uint32_t max_hops = 4 * n + 16;
+  switch (options_.scheme) {
+    case SchemeKind::kTZDirect: {
+      const FlatHeader h =
+          memo != nullptr
+              ? pkg.flat_router->prepare_resolved(
+                    query.s, query.t, memo->label,
+                    memo->light_pool != nullptr
+                        ? memo->light_pool
+                        : pkg.flat->label_light_pool())
+              : pkg.flat_router->prepare(query.s, query.t);
+      a.header_bits = h.bits;
+      walk(
+          g, query.s, query.t, max_hops,
+          [&](VertexId v) { return pkg.flat_router->step(v, h); }, path_out,
+          a);
+      break;
+    }
+    case SchemeKind::kTZHandshake: {
+      const FlatHeader h = pkg.flat_router->prepare_handshake(query.s,
+                                                              query.t);
+      a.header_bits = h.bits;
+      walk(
+          g, query.s, query.t, max_hops,
+          [&](VertexId v) { return pkg.flat_router->step(v, h); }, path_out,
+          a);
+      break;
+    }
+    case SchemeKind::kCowen: {
+      // Pooled SoA serving: Eytzinger cluster keys with the first-hop
+      // port alongside, home-landmark column pre-resolved in the label.
+      const FlatCowen::Label label = pkg.flat_cowen->label(query.t);
+      a.header_bits = pkg.flat_cowen->label_bits();
+      walk(
+          g, query.s, query.t, max_hops,
+          [&](VertexId v) { return pkg.flat_cowen->step(v, label); },
+          path_out, a);
+      break;
+    }
+    case SchemeKind::kFullTable: {
+      a.header_bits = pkg.flat_full->label_bits();
+      walk(
+          g, query.s, query.t, max_hops,
+          [&](VertexId v) {
+            if (v == query.t) return TreeDecision{true, kNoPort};
+            return TreeDecision{false,
+                                pkg.flat_full->next_hop(v, query.t)};
+          },
+          path_out, a);
+      break;
     }
   }
   if (a.delivered() && query.exact > 0) a.stretch = a.length / query.exact;
@@ -399,10 +361,8 @@ RouteAnswer RouteService::route_one(const RouteRequest& request) const {
     return route_one(RouteQuery{request.s, request.t, request.exact});
   }
   const SchemePackagePtr pkg = package();
-  CROUTE_REQUIRE(
-      options_.scheme == SchemeKind::kTZDirect && options_.use_flat &&
-          pkg->flat != nullptr && pkg->tz != nullptr,
-      "label-addressed requests need the flat kTZDirect serving path");
+  CROUTE_REQUIRE(options_.scheme == SchemeKind::kTZDirect,
+                 "label-addressed requests need the kTZDirect scheme");
   // Locally decoded label (route_one is the single-query path — no batch
   // arenas to share; the allocations are why the label form is not HOT).
   std::vector<FlatScheme::LabelEntryView> entries;
@@ -500,7 +460,7 @@ void RouteService::group_by_destination(
   // into \p pkg, which the caller pins for the whole batch; wire labels
   // decode into the batch arenas — every decode first (the arenas may
   // reallocate while appending), span fix-up after.
-  if (pkg.flat && options_.scheme == SchemeKind::kTZDirect) {
+  if (options_.scheme == SchemeKind::kTZDirect) {
     lab_entries_.clear();
     lab_ports_.clear();
     for (DestMemo& m : dest_memos_) {
@@ -555,10 +515,8 @@ void RouteService::route(std::span<const RouteRequest> requests,
     if (rq.label.empty()) {
       q.t = rq.t;
     } else {
-      CROUTE_REQUIRE(
-          options_.scheme == SchemeKind::kTZDirect && options_.use_flat &&
-              pkg->flat != nullptr && pkg->tz != nullptr,
-          "label-addressed requests need the flat kTZDirect serving path");
+      CROUTE_REQUIRE(options_.scheme == SchemeKind::kTZDirect,
+                     "label-addressed requests need the kTZDirect scheme");
       const LabelCodec& codec = pkg->tz->label_codec();
       const std::uint32_t id_bits = codec.id_bits();
       CROUTE_REQUIRE(rq.label_bits >= id_bits &&
@@ -576,12 +534,8 @@ void RouteService::route(std::span<const RouteRequest> requests,
 
   answers_.assign(nq, RouteAnswer{});
   std::vector<RouteAnswer>& answers = answers_;
-  const bool grouped = options_.use_flat;
-  if (grouped) {
-    group_by_destination(*pkg, queries, requests);
-  }
-  const bool memo_active =
-      pkg->flat != nullptr && options_.scheme == SchemeKind::kTZDirect;
+  group_by_destination(*pkg, queries, requests);
+  const bool memo_active = options_.scheme == SchemeKind::kTZDirect;
   std::uint64_t path_stamp = 0;
   if (options_.record_paths) {
     // Bump the arena generation FIRST: from here on, every path view a
@@ -591,7 +545,7 @@ void RouteService::route(std::span<const RouteRequest> requests,
     path_refs_.assign(queries.size(), PathRef{});
     for (auto& arena : arenas_) arena.clear();  // keeps capacity
   }
-  if (options_.use_flat && options_.batch_group > 0) {
+  if (options_.batch_group > 0) {
     // Batch-pipelined serving: each worker claims destination-grouped
     // chunks and routes them through its FlatBatchEngine — batch_group
     // descents interleaved, every lane's next dependent load prefetched
@@ -718,8 +672,7 @@ void RouteService::route(std::span<const RouteRequest> requests,
     pool_->for_each(
         queries.size(),
         [&](std::uint64_t slot, unsigned worker) {
-          const std::uint32_t i =
-              grouped ? order_[slot] : static_cast<std::uint32_t>(slot);
+          const std::uint32_t i = order_[slot];
           const RouteQuery& q = queries[i];
           const DestMemo* memo =
               memo_active ? &dest_memos_[dest_slot_[q.t]] : nullptr;
@@ -832,11 +785,6 @@ std::vector<RouteAnswer> RouteService::route_collect(
     requests[i] = to_request(queries[i]);
   }
   return route_collect(std::span<const RouteRequest>{requests});
-}
-
-std::vector<RouteAnswer> RouteService::route_batch(
-    const std::vector<RouteQuery>& queries) {
-  return route_collect(std::span<const RouteQuery>{queries});
 }
 
 ServiceTelemetry RouteService::snapshot() const {

@@ -12,10 +12,10 @@
 ///
 /// Concurrency model — *immutable generations, sharded queries*:
 ///  - every query-path structure (tables, directories, labels, the graph
-///    CSR, the legacy simulator) lives in one refcounted, immutable
-///    SchemePackage (scheme_package.hpp);
+///    CSR) lives in one refcounted, immutable SchemePackage
+///    (scheme_package.hpp);
 ///  - the service holds the current package in a tiny pin/flip cell.
-///    route_batch pins ONE generation at batch start and serves the whole
+///    route() pins ONE generation at batch start and serves the whole
 ///    batch from it; route_one pins its own. publish() flips the pointer
 ///    (RCU-style): queries never synchronize (the pin is once per batch,
 ///    two refcount ops), writers never wait for readers, and a retired
@@ -38,13 +38,13 @@
 /// distributed-construction literature (planar compact routing) uses to
 /// price recomputation under traffic.
 ///
-/// Serving path — *flat by default*: TZ schemes are compiled into a
-/// FlatScheme (core/flat_scheme.hpp) at package build and queries run
-/// against the pooled structure-of-arrays view through FlatRouter; Cowen
-/// and full-table queries walk the graph directly (no simulator, no
-/// std::function). `use_flat = false` keeps the legacy sim/-adapter path
-/// for comparison benches. Answers are identical either way
-/// (tests/test_flat_scheme.cpp).
+/// Serving path — *one, flat*: TZ schemes are compiled into a FlatScheme
+/// (core/flat_scheme.hpp) at package build and queries run against the
+/// pooled structure-of-arrays view through FlatRouter; Cowen and
+/// full-table queries serve from their pooled views the same way (no
+/// simulator, no std::function). The sim/ harness stays the reference:
+/// tests/test_flat_scheme.cpp checks every answer against its hop-by-hop
+/// walk.
 ///
 /// Batched prepare: each batch is processed grouped by destination and a
 /// per-batch memo resolves every distinct destination's pooled label once
@@ -120,8 +120,8 @@ struct RouteQuery {
 /// `label` non-empty ⇒ `t` is ignored (leave it kNoVertex) and the
 /// label's leading id field names the destination.
 ///
-/// Label-addressed requests require the flat kTZDirect serving path and
-/// are validated strictly: a truncated, trailing-garbage or out-of-range
+/// Label-addressed requests require the kTZDirect scheme and are
+/// validated strictly: a truncated, trailing-garbage or out-of-range
 /// label makes route() throw std::invalid_argument for the whole batch.
 /// Front-ends serving untrusted bytes (src/net/) pre-validate each frame
 /// and reject it alone instead.
@@ -148,7 +148,7 @@ inline RouteRequest to_request(const RouteQuery& q) noexcept {
 /// A guarded, non-owning view of an answer's recorded path. Behaves like
 /// (and converts to) std::span<const VertexId>, but every access checks a
 /// generation stamp against the owning arena's current generation: using
-/// a view that a later route()/route_batch/route_one call invalidated
+/// a view that a later route()/route_one call invalidated
 /// fails loudly (std::logic_error via CROUTE_ASSERT) instead of silently
 /// reading reused arena memory. The check is always on — CI runs Release
 /// (NDEBUG) builds, where CROUTE_DCHECK would vanish — and costs one
@@ -198,7 +198,7 @@ class PathView {
 ///
 /// \p path is a non-owning view into a service-owned arena (per-worker
 /// arenas for batches, a separate dedicated arena for route_one). A
-/// route_batch call invalidates all previously returned views; a
+/// route() call invalidates all previously returned batch views; a
 /// route_one call invalidates only the previous route_one answer's view
 /// (the closed-loop driver interleaves route_one verification with live
 /// batch answers and relies on this). All views die with the service;
@@ -218,7 +218,7 @@ struct RouteAnswer {
   /// marker).
   ///
   /// latency_us is pure SERVICE time: the clock starts when a worker
-  /// dequeues the query's chunk, not when route_batch was called. The
+  /// dequeues the query's chunk, not when route() was called. The
   /// time a query spent parked in the pool's queue behind other chunks is
   /// reported separately as queue_wait_us — summing the two gives the
   /// sojourn a client would observe. Earlier versions conflated them for
@@ -305,9 +305,9 @@ struct ServiceTelemetry {
 
 /// A concurrent route-query engine over immutable scheme generations.
 ///
-/// route_batch and route_one are externally synchronized against each
+/// route() and route_one are externally synchronized against each
 /// other only through the per-batch scratch: one *driver* thread calls
-/// route_batch at a time; route_one (record_paths off) is safe from any
+/// route() at a time; route_one (record_paths off) is safe from any
 /// thread, concurrently with batches AND with publish(). publish() is
 /// safe from any thread, and so is snapshot()/telemetry() — shards are
 /// relaxed atomics merged with an ordering that keeps delivered <=
@@ -333,7 +333,7 @@ class RouteService {
   /// stays fully valid for as long as the caller holds the pointer, no
   /// matter how many swaps happen meanwhile. The pin itself copies the
   /// shared_ptr under a tiny mutex — two refcount ops, once per *batch*
-  /// (route_batch pins once and serves every query from the pin), so the
+  /// (route() pins once and serves every query from the pin), so the
   /// query hot path never touches it.
   CROUTE_HOT SchemePackagePtr package() const {
     CROUTE_LINT_SUPPRESS(hot_path,
@@ -366,9 +366,9 @@ class RouteService {
   /// through \p sink in one callback: answers[i] is the route for
   /// requests[i]. Sharded over the worker pool in destination-grouped
   /// order; deterministic for every thread count; the whole batch is
-  /// served from one pinned generation. The socket front-end (src/net/),
-  /// route_collect and the deprecated route_batch shim all funnel here —
-  /// one pipeline, one set of invariants. Driver-thread only (one caller
+  /// served from one pinned generation. The socket front-end (src/net/)
+  /// and route_collect both funnel here — one pipeline, one set of
+  /// invariants. Driver-thread only (one caller
   /// at a time; route_one stays concurrent).
   void route(std::span<const RouteRequest> requests, RouteSink& sink);
 
@@ -379,17 +379,9 @@ class RouteService {
   /// Adapter over route() for vertex-addressed legacy queries.
   std::vector<RouteAnswer> route_collect(std::span<const RouteQuery> queries);
 
-  /// Deprecated shim over route() — kept source-compatible for old
-  /// callers; answers are byte-identical to route_collect(queries)
-  /// (tests/test_net.cpp proves it).
-  [[deprecated(
-      "route_batch is a shim; use route(requests, sink) or "
-      "route_collect")]]
-  std::vector<RouteAnswer> route_batch(const std::vector<RouteQuery>& queries);
-
   /// Serves one request on the calling thread (no pool dispatch) against
   /// the current generation. Label-addressed requests decode the label
-  /// locally (kTZDirect flat path only). The answer's path points into a
+  /// locally (kTZDirect only). The answer's path points into a
   /// dedicated arena: it invalidates only the previous route_one answer's
   /// path, never a batch's (see RouteAnswer::path). With record_paths off
   /// this is safe to call concurrently (telemetry lands in an atomic
@@ -441,8 +433,8 @@ class RouteService {
   /// (stats, IO). Valid until the next publish(); pin package() to keep.
   const TZScheme* tz_scheme() const noexcept { return package()->tz.get(); }
 
-  /// The current generation's flat view, or nullptr (non-TZ kinds or
-  /// use_flat off). Same lifetime contract as tz_scheme().
+  /// The current generation's flat view, or nullptr (non-TZ kinds).
+  /// Same lifetime contract as tz_scheme().
   const FlatScheme* flat_scheme() const noexcept {
     return package()->flat.get();
   }
@@ -532,8 +524,6 @@ class RouteService {
                                const RouteQuery& query,
                                std::vector<VertexId>* path_out,
                                const DestMemo* memo) const;
-  RouteAnswer serve_legacy(const SchemePackage& pkg, const RouteQuery& query,
-                           std::vector<VertexId>* path_out) const;
 
   /// route_one's shared tail: serve + timing + the one-slot telemetry
   /// (memo carries a locally decoded label for the label-addressed form).
@@ -626,7 +616,7 @@ class RouteService {
   std::vector<std::vector<VertexId>> arenas_;
   mutable std::vector<VertexId> one_arena_;
 
-  // Per-worker pipelined engines (batch_group > 0 on the flat path).
+  // Per-worker pipelined engines (batch_group > 0).
   std::vector<BatchScratch> batch_scratch_;
 
   // Reusable per-batch scratch (amortized allocation-free). Touched only

@@ -3,6 +3,8 @@
 #include <chrono>
 #include <stdexcept>
 
+#include "baseline/cowen.hpp"
+#include "baseline/full_table.hpp"
 #include "core/scheme_io.hpp"
 #include "graph/connectivity.hpp"
 #include "util/parallel.hpp"
@@ -42,9 +44,11 @@ SamplingMode parse_sampling(const std::string& name) {
 }
 
 std::string RouteServiceOptions::validate() const {
-  if (batch_group != 0 && (batch_group & (batch_group - 1)) != 0) {
-    return "batch_group must be 0 (scalar serving) or a power of two "
-           "(e.g. 16, 32, 64); got " +
+  if ((batch_group != 0 && (batch_group & (batch_group - 1)) != 0) ||
+      batch_group > kMaxBatchGroup) {
+    return "batch_group must be 0 (scalar serving) or a power of two up "
+           "to " +
+           std::to_string(kMaxBatchGroup) + " (e.g. 16, 32, 64); got " +
            std::to_string(batch_group);
   }
   const bool is_tz =
@@ -77,12 +81,8 @@ std::uint64_t SchemePackage::table_bits(VertexId v) const {
   switch (options.scheme) {
     case SchemeKind::kTZDirect:
     case SchemeKind::kTZHandshake: return tz->table_bits(v);
-    case SchemeKind::kCowen:
-      return flat_cowen != nullptr ? flat_cowen->table_bits(v)
-                                   : cowen->table_bits(v);
-    case SchemeKind::kFullTable:
-      return flat_full != nullptr ? flat_full->table_bits(v)
-                                  : full->table_bits(v);
+    case SchemeKind::kCowen: return flat_cowen->table_bits(v);
+    case SchemeKind::kFullTable: return flat_full->table_bits(v);
   }
   return 0;
 }
@@ -122,12 +122,6 @@ SchemePackagePtr build_package(std::shared_ptr<const Graph> graph,
   auto pkg = std::make_shared<SchemePackage>();
   pkg->options = options;
   pkg->graph = std::move(graph);
-  if (!options.use_flat) {
-    // The simulator exists only for the legacy serving path; the flat
-    // path carries pooled views instead of preprocessing-layout state.
-    pkg->sim = std::make_unique<const Simulator>(
-        g, SimOptions{0, options.record_paths});
-  }
   switch (options.scheme) {
     case SchemeKind::kTZDirect:
     case SchemeKind::kTZHandshake: {
@@ -152,48 +146,39 @@ SchemePackagePtr build_package(std::shared_ptr<const Graph> graph,
         Rng rng(options.seed);
         pkg->tz = std::make_unique<const TZScheme>(g, opt, rng);
       }
-      if (options.use_flat) {
-        FlatSchemeOptions fopt;
-        fopt.lookup = options.flat_lookup;
-        fopt.hash_seed = mix64(options.seed ^ 0xf1a7c0def1a7c0deULL);
-        // Shard the compile over a transient pool (per-vertex slices are
-        // disjoint; the compiled bytes are pool-size-invariant). Serial
-        // when only one core is available — the pool would only add
-        // queue overhead.
-        const unsigned compile_threads = options.compile_threads != 0
-                                             ? options.compile_threads
-                                             : worker_count();
-        std::unique_ptr<ThreadPool> compile_pool;
-        if (compile_threads > 1) {
-          compile_pool = std::make_unique<ThreadPool>(compile_threads);
-          fopt.pool = compile_pool.get();
-        }
-        pkg->flat = std::make_unique<const FlatScheme>(*pkg->tz, fopt);
-        pkg->flat_router = std::make_unique<const FlatRouter>(*pkg->flat);
-        pkg->flat_stats = pkg->flat->compile_stats();
+      FlatSchemeOptions fopt;
+      fopt.lookup = options.flat_lookup;
+      fopt.hash_seed = mix64(options.seed ^ 0xf1a7c0def1a7c0deULL);
+      // Shard the compile over a transient pool (per-vertex slices are
+      // disjoint; the compiled bytes are pool-size-invariant). Serial
+      // when only one core is available — the pool would only add
+      // queue overhead.
+      const unsigned compile_threads = options.compile_threads != 0
+                                           ? options.compile_threads
+                                           : worker_count();
+      std::unique_ptr<ThreadPool> compile_pool;
+      if (compile_threads > 1) {
+        compile_pool = std::make_unique<ThreadPool>(compile_threads);
+        fopt.pool = compile_pool.get();
       }
+      pkg->flat = std::make_unique<const FlatScheme>(*pkg->tz, fopt);
+      pkg->flat_router = std::make_unique<const FlatRouter>(*pkg->flat);
+      pkg->flat_stats = pkg->flat->compile_stats();
       break;
     }
     case SchemeKind::kCowen: {
       Rng rng(options.seed);
-      if (options.use_flat) {
-        // Preprocess, compile the pooled view, drop the preprocessing.
-        const CowenScheme cowen(g, rng);
-        pkg->flat_cowen = std::make_unique<const FlatCowen>(cowen, g);
-      } else {
-        pkg->cowen = std::make_unique<const CowenScheme>(g, rng);
-      }
+      // Preprocess, compile the pooled view, drop the preprocessing.
+      const CowenScheme cowen(g, rng);
+      pkg->flat_cowen = std::make_unique<const FlatCowen>(cowen, g);
       break;
     }
-    case SchemeKind::kFullTable:
-      if (options.use_flat) {
-        FullTableScheme full(g);
-        pkg->flat_full =
-            std::make_unique<const FlatFullTable>(std::move(full), g);
-      } else {
-        pkg->full = std::make_unique<const FullTableScheme>(g);
-      }
+    case SchemeKind::kFullTable: {
+      FullTableScheme full(g);
+      pkg->flat_full =
+          std::make_unique<const FlatFullTable>(std::move(full), g);
       break;
+    }
   }
   pkg->incr_stats = incr_stats;
   pkg->build_seconds = std::chrono::duration<double>(clock::now() - begin).count();

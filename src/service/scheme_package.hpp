@@ -3,22 +3,23 @@
 ///
 /// Hot-swapping a routing scheme under live traffic only works if
 /// *everything* a query touches — the graph CSR, the TZ preprocessing,
-/// the compiled flat view, the baseline state, and the legacy-path
-/// simulator — lives and dies as ONE unit. SchemePackage is that unit:
-/// built once by build_scheme_package(), immutable afterwards, and
-/// shared via `std::shared_ptr<const SchemePackage>` so the reference
-/// count IS the retirement protocol. RouteService publishes a package
-/// with an atomic pointer flip (RCU-style); every in-flight batch pins
-/// the package it started on, and an old generation is destroyed
-/// exactly when its last pinned batch drains — readers never block,
-/// swappers never wait for readers.
+/// and the compiled flat views — lives and dies as ONE unit.
+/// SchemePackage is that unit: built once by build_scheme_package(),
+/// immutable afterwards, and shared via
+/// `std::shared_ptr<const SchemePackage>` so the reference count IS the
+/// retirement protocol. RouteService publishes a package with an atomic
+/// pointer flip (RCU-style); every in-flight batch pins the package it
+/// started on, and an old generation is destroyed exactly when its last
+/// pinned batch drains — readers never block, swappers never wait for
+/// readers.
 ///
 /// Internal ownership order matters and is encoded here: the package
 /// owns its Graph (a value copy — rebuilds serve a *different* topology
 /// than the caller's original), TZScheme points into that graph,
 /// FlatScheme points into the TZScheme, FlatRouter into the FlatScheme,
-/// and the Simulator (legacy serving path) into the graph. Destruction
-/// runs in reverse member order, so no dangling pointers at teardown.
+/// and the baseline views (FlatCowen, FlatFullTable) into the graph.
+/// Destruction runs in reverse member order, so no dangling pointers at
+/// teardown.
 
 #pragma once
 
@@ -26,13 +27,10 @@
 #include <memory>
 #include <string>
 
-#include "baseline/cowen.hpp"
-#include "baseline/full_table.hpp"
 #include "core/flat_scheme.hpp"
 #include "core/incremental_rebuild.hpp"
 #include "core/tz_scheme.hpp"
 #include "graph/graph.hpp"
-#include "sim/simulator.hpp"
 
 namespace croute {
 
@@ -54,6 +52,10 @@ const char* sampling_name(SamplingMode mode) noexcept;
 
 /// Parses "centered" / "bernoulli" (throws on others).
 SamplingMode parse_sampling(const std::string& name);
+
+/// Largest accepted RouteServiceOptions::batch_group: each worker's
+/// FlatBatchEngine sizes its lane arrays to the group on the first batch.
+inline constexpr std::uint32_t kMaxBatchGroup = 4096;
 
 /// Construction-time options for RouteService (and for every package a
 /// rebuild produces; only warm_start_path is dropped on rebuilds).
@@ -78,9 +80,6 @@ struct RouteServiceOptions {
   /// runs usually don't). Paths land in per-worker arenas — see
   /// RouteAnswer::path for the validity contract.
   bool record_paths = false;
-  /// Serve from the flat compiled view (default). false = legacy
-  /// sim/-adapter path, kept for comparison benches.
-  bool use_flat = true;
   /// Lookup layout of the flat view (TZ schemes only). The FlatScheme
   /// default is kFKS (the paper's O(1) hash-table story); the service
   /// defaults to the Eytzinger descent, which wins end-to-end on walks —
@@ -91,7 +90,7 @@ struct RouteServiceOptions {
   /// how many queries' descents one worker keeps in flight, prefetching
   /// each lane's next load while the others compute. 0 = scalar serving
   /// (one descent at a time); answers are byte-identical either way.
-  /// Flat path only; 8–16 covers the dev containers we measure on.
+  /// At most 4096; 8–16 covers the dev containers we measure on.
   std::uint32_t batch_group = 16;
   /// Worker threads for the flat compile passes (0 = worker_count(),
   /// 1 = serial). The compiled bytes are identical at every count.
@@ -153,13 +152,12 @@ struct RouteServiceOptions {
 /// every query-path structure, owned together. Share as
 /// `std::shared_ptr<const SchemePackage>`; never mutate after build.
 ///
-/// On the flat path (use_flat, the default) every SchemeKind serves from
-/// pooled SoA state — flat/flat_router for the TZ kinds, flat_cowen /
-/// flat_full for the baselines — and the preprocessing-layout objects
-/// (sim, cowen, full) are *not carried*: they exist transiently during
-/// build and are dropped once their pooled views are compiled. With
-/// use_flat off the package instead carries the legacy structures and no
-/// pooled views (the comparison-bench configuration).
+/// Every SchemeKind serves from pooled SoA state — flat/flat_router for
+/// the TZ kinds, flat_cowen / flat_full for the baselines. The baselines'
+/// preprocessing-layout objects (CowenScheme, FullTableScheme) exist
+/// transiently during build and are dropped once their pooled views are
+/// compiled; the TZ preprocessing stays (labels, stats, IO, incremental
+/// rebuilds read it).
 struct SchemePackage {
   SchemePackage() = default;
   SchemePackage(const SchemePackage&) = delete;
@@ -167,17 +165,14 @@ struct SchemePackage {
 
   RouteServiceOptions options;  ///< the options this generation was built with
   std::shared_ptr<const Graph> graph;
-  std::unique_ptr<const Simulator> sim;  ///< legacy serving path only
   std::unique_ptr<const TZScheme> tz;
   std::unique_ptr<const FlatScheme> flat;
   std::unique_ptr<const FlatRouter> flat_router;
-  std::unique_ptr<const FlatCowen> flat_cowen;    ///< flat path, kCowen
-  std::unique_ptr<const FlatFullTable> flat_full; ///< flat path, kFullTable
-  std::unique_ptr<const CowenScheme> cowen;        ///< legacy path only
-  std::unique_ptr<const FullTableScheme> full;     ///< legacy path only
+  std::unique_ptr<const FlatCowen> flat_cowen;     ///< kCowen
+  std::unique_ptr<const FlatFullTable> flat_full;  ///< kFullTable
   double build_seconds = 0;  ///< wall time of build_scheme_package
-  /// Where the flat compile's time/space went (zeros off the flat TZ
-  /// path) — surfaced per swap by the rebuild telemetry.
+  /// Where the flat compile's time/space went (zeros for the baseline
+  /// kinds) — surfaced per swap by the rebuild telemetry.
   FlatCompileStats flat_stats;
   /// What the delta-aware rebuild reused (used=false for initial builds
   /// and full rebuilds) — the reuse-ratio/phase-timing half of the

@@ -344,7 +344,7 @@ ChurnReport run_closed_loop_churn(RouteService& service, SchemeManager& manager,
   std::uint32_t fired = 0;
 
   // Per-RUN swap-straddle accounting, measured by the driver around its
-  // own route_batch calls (the service-side max_swap_blackout_us is a
+  // own route() calls (the service-side max_swap_blackout_us is a
   // service-lifetime high-water mark; a report must not attribute an
   // earlier run's blackout to this one). The driver's observation window
   // encloses the service's, so this count is conservative (>=).

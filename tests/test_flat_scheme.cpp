@@ -3,8 +3,9 @@
 // / RoutingLabel structures answer-for-answer — same find results, same
 // prepared headers (pivot, tree label, exact wire bits), same per-hop
 // decisions — across k ∈ {2,3,4}, both lookup layouts (Eytzinger + FKS),
-// and all three routing policies; and the flat RouteService must serve
-// byte-identical answers to the legacy path at every thread count.
+// and all three routing policies; and RouteService must serve
+// byte-identical answers to the sim/ reference walk (Simulator + the
+// scheme adapters) at every thread count.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "service/route_service.hpp"
 #include "service/workload.hpp"
 #include "sim/experiment.hpp"
+#include "sim_reference.hpp"
 #include "util/parallel.hpp"
 #include "util/random.hpp"
 
@@ -202,8 +204,9 @@ TEST(FlatScheme, HeaderBitsExactAtAndBeyondTableEdge) {
   }
 }
 
-// The flat service must serve answer-for-answer what the legacy path
-// serves, for every scheme kind, both lookup layouts, and every thread
+// The service must serve answer-for-answer what the sim/ reference walk
+// serves — status, length, hops, header bits, stretch and the recorded
+// path — for every scheme kind, both lookup layouts, and every thread
 // count.
 TEST(FlatService, MatchesLegacyServiceAtEveryThreadCount) {
   Rng grng(55);
@@ -216,28 +219,36 @@ TEST(FlatService, MatchesLegacyServiceAtEveryThreadCount) {
   for (const SchemeKind kind :
        {SchemeKind::kTZDirect, SchemeKind::kTZHandshake, SchemeKind::kCowen,
         SchemeKind::kFullTable}) {
-    RouteServiceOptions legacy_opt;
-    legacy_opt.scheme = kind;
-    legacy_opt.threads = 1;
-    legacy_opt.k = 3;
-    legacy_opt.seed = 77;
-    legacy_opt.record_paths = true;
-    legacy_opt.use_flat = false;
-    RouteService legacy(g, legacy_opt);
-    const std::vector<RouteAnswer> reference = legacy.route_collect(queries);
+    RouteServiceOptions base;
+    base.scheme = kind;
+    base.k = 3;
+    base.seed = 77;
+    base.record_paths = true;
+    const SimReference ref(g, base);
+    std::vector<RouteResult> reference;
+    for (const RouteQuery& q : queries) {
+      reference.push_back(ref.route(q.s, q.t));
+    }
 
     for (const FlatLookup layout : kLayouts) {
       for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-        RouteServiceOptions opt = legacy_opt;
-        opt.use_flat = true;
+        RouteServiceOptions opt = base;
         opt.flat_lookup = layout;
         opt.threads = threads;
-        RouteService flat_service(g, opt);
-        const std::vector<RouteAnswer> answers =
-            flat_service.route_collect(queries);
+        RouteService service(g, opt);
+        const std::vector<RouteAnswer> answers = service.route_collect(queries);
         ASSERT_EQ(answers.size(), reference.size());
         for (std::size_t i = 0; i < answers.size(); ++i) {
-          ASSERT_TRUE(same_route(reference[i], answers[i]))
+          const RouteAnswer& a = answers[i];
+          const RouteResult& r = reference[i];
+          const double stretch = r.status == RouteStatus::kDelivered
+                                     ? r.length / queries[i].exact
+                                     : 0;
+          ASSERT_TRUE(a.status == r.status && a.length == r.length &&
+                      a.hops == r.hops && a.header_bits == r.header_bits &&
+                      a.stretch == stretch &&
+                      std::vector<VertexId>(a.path.begin(), a.path.end()) ==
+                          r.path)
               << scheme_name(kind) << "/" << flat_lookup_name(layout)
               << " diverges at pair " << i << " with " << threads
               << " threads";
@@ -477,9 +488,9 @@ TEST(FlatScheme, ParallelCompileMatchesSerial) {
   }
 }
 
-// On the flat path every kind serves from pooled SoA state and the
-// package must NOT carry the preprocessing-layout baseline objects (nor
-// the legacy simulator); with use_flat off it carries exactly those.
+// Every kind serves from pooled SoA state, so the package carries the
+// pooled view of its kind; table_bits read from the pooled state must
+// match the sim/ reference schemes' own accounting.
 TEST(FlatService, FlatPackagesDropLegacyBaselineState) {
   Rng grng(31);
   const Graph g = make_workload(GraphFamily::kErdosRenyi, 150, grng);
@@ -491,28 +502,12 @@ TEST(FlatService, FlatPackagesDropLegacyBaselineState) {
     opt.seed = 32;
     RouteService flat_service(g, opt);
     const SchemePackagePtr pkg = flat_service.package();
-    EXPECT_EQ(pkg->sim, nullptr) << scheme_name(kind);
-    EXPECT_EQ(pkg->cowen, nullptr) << scheme_name(kind);
-    EXPECT_EQ(pkg->full, nullptr) << scheme_name(kind);
-    switch (kind) {
-      case SchemeKind::kTZDirect:
-        EXPECT_NE(pkg->flat, nullptr);
-        break;
-      case SchemeKind::kCowen:
-        EXPECT_NE(pkg->flat_cowen, nullptr);
-        break;
-      case SchemeKind::kFullTable:
-        EXPECT_NE(pkg->flat_full, nullptr);
-        break;
-      default: break;
-    }
-    // table_bits serves from the pooled state and matches the legacy
-    // accounting.
-    RouteServiceOptions legacy_opt = opt;
-    legacy_opt.use_flat = false;
-    RouteService legacy(g, legacy_opt);
+    EXPECT_EQ(pkg->flat != nullptr, kind == SchemeKind::kTZDirect);
+    EXPECT_EQ(pkg->flat_cowen != nullptr, kind == SchemeKind::kCowen);
+    EXPECT_EQ(pkg->flat_full != nullptr, kind == SchemeKind::kFullTable);
+    const SimReference ref(g, opt);
     for (VertexId v = 0; v < g.num_vertices(); v += 17) {
-      EXPECT_EQ(flat_service.table_bits(v), legacy.table_bits(v))
+      EXPECT_EQ(flat_service.table_bits(v), ref.table_bits(v))
           << scheme_name(kind) << " v=" << v;
     }
   }

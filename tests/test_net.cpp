@@ -681,32 +681,8 @@ TEST(NetServe, FramingErrorDropsConnectionLoudly) {
 }
 
 // ---------------------------------------------------------------------
-// Redesigned-API satellites: the deprecated shim and the stamped paths
+// Redesigned-API satellites: the stamped paths
 // ---------------------------------------------------------------------
-
-TEST(RouteApi, DeprecatedRouteBatchShimIsByteIdentical) {
-  NetFixture fx;
-  const VertexId n = fx.g.num_vertices();
-  RouteService service(fx.g, fx.options(SchemeKind::kTZDirect));
-  Rng rng(23);
-  std::vector<RouteQuery> queries(128);
-  for (auto& q : queries) {
-    q = {static_cast<VertexId>(rng.next_below(n)),
-         static_cast<VertexId>(rng.next_below(n)), kUnknownDistance};
-  }
-  const std::vector<RouteAnswer> via_new =
-      service.route_collect(std::span<const RouteQuery>{queries});
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const std::vector<RouteAnswer> via_shim = service.route_batch(queries);
-#pragma GCC diagnostic pop
-  ASSERT_EQ(via_shim.size(), via_new.size());
-  for (std::size_t i = 0; i < via_shim.size(); ++i) {
-    EXPECT_TRUE(same_route(via_shim[i], via_new[i])) << i;
-    EXPECT_EQ(via_shim[i].header_bits, via_new[i].header_bits) << i;
-    EXPECT_EQ(via_shim[i].hops, via_new[i].hops) << i;
-  }
-}
 
 TEST(RouteApi, StalePathViewFailsLoudly) {
   NetFixture fx;

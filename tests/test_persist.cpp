@@ -47,13 +47,12 @@ Graph test_graph(std::uint64_t seed, VertexId n = 300) {
   return make_workload(GraphFamily::kErdosRenyi, n, rng);
 }
 
-RouteServiceOptions base_options(SchemeKind kind, bool use_flat = true) {
+RouteServiceOptions base_options(SchemeKind kind) {
   RouteServiceOptions opt;
   opt.scheme = kind;
   opt.threads = 1;
   opt.k = 3;
   opt.seed = 99;
-  opt.use_flat = use_flat;
   opt.record_paths = false;
   opt.metrics = false;
   return opt;
@@ -105,8 +104,6 @@ TEST_P(ArtifactRoundtrip, DecodeThenReencodeIsByteIdentical) {
   const Graph g = test_graph(3);
   const RouteServiceOptions opt = base_options(GetParam());
   const SchemePackagePtr pkg = build(g, opt);
-  std::string reason;
-  ASSERT_TRUE(persist::package_persistable(*pkg, &reason)) << reason;
 
   const std::string bytes = persist::encode_package(*pkg, 7);
   const persist::ArtifactMeta meta = persist::read_artifact_meta(bytes);
@@ -145,30 +142,6 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, ArtifactRoundtrip,
                                            SchemeKind::kTZHandshake,
                                            SchemeKind::kCowen,
                                            SchemeKind::kFullTable));
-
-TEST(ArtifactRoundtripLegacy, TZLegacyPackageRoundtrips) {
-  // use_flat = false keeps the legacy sim path; the artifact stores
-  // graph + TZ bytes and the decoder rebuilds the simulator.
-  const Graph g = test_graph(4, 200);
-  const RouteServiceOptions opt =
-      base_options(SchemeKind::kTZDirect, /*use_flat=*/false);
-  const SchemePackagePtr pkg = build(g, opt);
-  const std::string bytes = persist::encode_package(*pkg, 1);
-  const SchemePackagePtr rt = persist::decode_package(bytes, opt);
-  ASSERT_NE(rt, nullptr);
-  ASSERT_NE(rt->sim, nullptr);
-  EXPECT_TRUE(persist::encode_package(*rt, 1) == bytes);
-}
-
-TEST(ArtifactRoundtripLegacy, LegacyBaselinesAreUnpersistableWithReason) {
-  const Graph g = test_graph(5, 120);
-  const SchemePackagePtr pkg =
-      build(g, base_options(SchemeKind::kCowen, /*use_flat=*/false));
-  std::string reason;
-  EXPECT_FALSE(persist::package_persistable(*pkg, &reason));
-  EXPECT_FALSE(reason.empty());
-  EXPECT_THROW(persist::encode_package(*pkg, 1), std::invalid_argument);
-}
 
 TEST(ArtifactRoundtrip, FKSLookupRoundtrips) {
   // The FKS perfect-hash indexes are derived state: not serialized,
@@ -250,6 +223,37 @@ TEST(ArtifactCorruption, VersionSkewRejects) {
   mut[8] = static_cast<char>(persist::kArtifactFormatVersion + 1);
   EXPECT_THROW(persist::read_artifact_meta(mut), std::invalid_argument);
   EXPECT_THROW(persist::decode_package(mut, opt), std::invalid_argument);
+}
+
+// Header byte 14 once held the removed use_flat option; every artifact
+// a flat service wrote carries 1 there. A 0 (a legacy sim/-path
+// generation) must be rejected, and for that reason: the header is
+// parsed in order, so the byte-14 check speaks before the header CRC.
+TEST(ArtifactCorruption, LegacyServingPathByteRejects) {
+  const Graph g = test_graph(10, 120);
+  const RouteServiceOptions opt = base_options(SchemeKind::kTZDirect);
+  std::string mut = persist::encode_package(*build(g, opt), 1);
+  ASSERT_EQ(mut[14], 1);
+  mut[14] = 0;
+  const auto expect_byte14_reason = [](const auto& load) {
+    try {
+      load();
+      ADD_FAILURE() << "a legacy serving-path artifact was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("byte 14"), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_byte14_reason([&] { (void)persist::read_artifact_meta(mut); });
+  expect_byte14_reason([&] { (void)persist::decode_package(mut, opt); });
+}
+
+// content_options_digest gates recovery: a service upgraded past the
+// use_flat removal must still accept the artifacts its predecessor
+// wrote, so the default options' digest stays what it was.
+TEST(ArtifactCorruption, DefaultOptionsDigestIsPinned) {
+  EXPECT_EQ(persist::content_options_digest(RouteServiceOptions{}),
+            0x18ee41895af61ba8ULL);
 }
 
 TEST(ArtifactCorruption, AlienAndEmptyInputsReject) {

@@ -16,10 +16,11 @@
 
 #include "core/scheme_io.hpp"
 #include "graph/dijkstra.hpp"
+#include "service/cli.hpp"
 #include "service/route_service.hpp"
 #include "service/workload.hpp"
 #include "sim/experiment.hpp"
-#include "sim/simulator.hpp"
+#include "sim_reference.hpp"
 #include "util/parallel.hpp"
 
 namespace croute {
@@ -145,48 +146,19 @@ RouteServiceOptions service_options(SchemeKind kind, unsigned threads,
 // scheme instance (same preprocessing seed).
 TEST(RouteService, MatchesSingleThreadedSimAdapters) {
   const ServiceFixture fx;
-  const SimOptions sim_opt{0, true};
-  const Simulator sim(fx.g, sim_opt);
-
   for (const SchemeKind kind :
        {SchemeKind::kTZDirect, SchemeKind::kTZHandshake, SchemeKind::kCowen,
         SchemeKind::kFullTable}) {
-    RouteService service(fx.g, service_options(kind, 4));
+    const RouteServiceOptions opt = service_options(kind, 4);
+    RouteService service(fx.g, opt);
     const std::vector<RouteAnswer> answers =
         service.route_collect(fx.queries());
-
-    // Rebuild the identical scheme the service preprocessed.
-    Rng rng(99);
-    std::unique_ptr<TZScheme> tz;
-    std::unique_ptr<CowenScheme> cowen;
-    std::unique_ptr<FullTableScheme> full;
-    if (kind == SchemeKind::kTZDirect || kind == SchemeKind::kTZHandshake) {
-      TZSchemeOptions topt;
-      topt.pre.k = 3;
-      tz = std::make_unique<TZScheme>(fx.g, topt, rng);
-    } else if (kind == SchemeKind::kCowen) {
-      cowen = std::make_unique<CowenScheme>(fx.g, rng);
-    } else {
-      full = std::make_unique<FullTableScheme>(fx.g);
-    }
+    // The identical scheme the service preprocessed, walked by sim/.
+    const SimReference sim(fx.g, opt);
 
     for (std::size_t i = 0; i < fx.pairs.size(); ++i) {
       const auto& p = fx.pairs[i];
-      RouteResult ref;
-      switch (kind) {
-        case SchemeKind::kTZDirect:
-          ref = route_tz(sim, *tz, p.s, p.t);
-          break;
-        case SchemeKind::kTZHandshake:
-          ref = route_tz_handshake(sim, *tz, p.s, p.t);
-          break;
-        case SchemeKind::kCowen:
-          ref = route_cowen(sim, *cowen, p.s, p.t);
-          break;
-        case SchemeKind::kFullTable:
-          ref = route_full(sim, *full, p.s, p.t);
-          break;
-      }
+      const RouteResult ref = sim.route(p.s, p.t);
       ASSERT_EQ(answers[i].status, ref.status)
           << scheme_name(kind) << " pair " << i;
       EXPECT_EQ(answers[i].length, ref.length);
@@ -414,12 +386,12 @@ TEST(Workload, AttachExactTreatsZeroAndKnownAsSolved) {
 
 TEST(RouteService, SelfQueriesHaveDefinedAnswers) {
   // s == t must be delivered with 0 hops, 0 length, 0 header bits and
-  // stretch exactly 1 — on both serving paths, in batches and route_one,
+  // stretch exactly 1 — in pipelined and scalar batches and route_one,
   // and the generators' sentinel must never make stretch read as 0.
   const ServiceFixture fx;
-  for (const bool use_flat : {true, false}) {
+  for (const std::uint32_t group : {16u, 0u}) {
     RouteServiceOptions opt = service_options(SchemeKind::kTZDirect, 3);
-    opt.use_flat = use_flat;
+    opt.batch_group = group;
     RouteService service(fx.g, opt);
     std::vector<RouteQuery> queries;
     queries.push_back({4, 4, 0});
@@ -427,7 +399,7 @@ TEST(RouteService, SelfQueriesHaveDefinedAnswers) {
     queries.push_back({9, 9, kUnknownDistance});
     const std::vector<RouteAnswer> answers = service.route_collect(queries);
     for (const std::size_t i : {std::size_t{0}, std::size_t{2}}) {
-      EXPECT_TRUE(answers[i].delivered()) << "flat=" << use_flat;
+      EXPECT_TRUE(answers[i].delivered()) << "batch_group=" << group;
       EXPECT_EQ(answers[i].hops, 0u);
       EXPECT_EQ(answers[i].length, 0.0);
       EXPECT_EQ(answers[i].header_bits, 0u);
@@ -441,6 +413,32 @@ TEST(RouteService, SelfQueriesHaveDefinedAnswers) {
     EXPECT_EQ(one.hops, 0u);
     EXPECT_EQ(one.stretch, 1.0);
   }
+}
+
+// The shared CLI parse rejects integer flags their field cannot hold
+// (--batch-group=4294967312 would otherwise wrap to 16), naming the flag.
+TEST(ServiceCli, RejectsOutOfRangeIntegerFlags) {
+  const auto parse = [](std::vector<const char*> args) {
+    args.insert(args.begin(), "route_service");
+    return parse_service_setup(
+        Flags(static_cast<int>(args.size()), args.data()));
+  };
+  for (const std::string bad :
+       {"--threads=-1", "--n=-1", "--batch-group=4294967312"}) {
+    try {
+      parse({bad.c_str()});
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string flag = bad.substr(0, bad.find('='));
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+          << e.what();
+    }
+  }
+  const ServiceSetup ok =
+      parse({"--threads=2", "--n=500", "--batch-group=32"});
+  EXPECT_EQ(ok.service.threads, 2u);
+  EXPECT_EQ(ok.n, 500u);
+  EXPECT_EQ(ok.service.batch_group, 32u);
 }
 
 TEST(RouteService, RouteOneLandsInTelemetry) {

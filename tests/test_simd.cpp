@@ -256,6 +256,10 @@ TEST(SimdEngine, ServiceRejectsNonPowerOfTwoBatchGroup) {
   opt.seed = 12;
   opt.batch_group = 24;
   EXPECT_THROW(RouteService(g, opt), std::invalid_argument);
+  // A power of two past kMaxBatchGroup would size every worker's lane
+  // arrays to it on the first batch.
+  opt.batch_group = std::uint32_t{1} << 31;
+  EXPECT_THROW(RouteService(g, opt), std::invalid_argument);
   opt.batch_group = 0;  // scalar path stays allowed
   EXPECT_NO_THROW(RouteService(g, opt));
 }
