@@ -1,27 +1,32 @@
 #include "core/clusters.hpp"
 
 #include "graph/connectivity.hpp"
+#include "util/parallel.hpp"
 
 namespace croute {
 
 CROUTE_DETERMINISTIC TZPreprocessing::TZPreprocessing(const Graph& g,
-                                 const PreprocessOptions& options, Rng& rng)
+                                 const PreprocessOptions& options, Rng& rng,
+                                 ThreadPool* pool)
     : g_(&g) {
   CROUTE_REQUIRE(g.num_vertices() >= 1, "graph must be non-empty");
   CROUTE_REQUIRE(is_connected(g),
                  "TZ preprocessing requires a connected graph "
                  "(run per component, see connectivity.hpp)");
   rank_ = rng.permutation(g.num_vertices());
-  hierarchy_ = build_hierarchy(g, options.k, rank_, rng, options.hierarchy);
+  hierarchy_ = build_hierarchy(g, options.k, rank_, rng, options.hierarchy,
+                               pool);
 
-  // Pivots per level. Level 0 is trivial (every vertex is its own pivot);
-  // computing it via the same code path keeps invariants uniform.
-  pivots_.reserve(k());
-  for (std::uint32_t i = 0; i < k(); ++i) {
-    pivots_.push_back(multi_source_dijkstra(g, hierarchy_.levels[i], rank_));
+  // Pivots per level: k independent runs, one slot each. Level 0 is
+  // trivial (every vertex is its own pivot); computing it via the same
+  // code path keeps invariants uniform.
+  pivots_.resize(k());
+  for_each_index(pool, k(), [&](std::uint64_t i, unsigned) {
+    pivots_[i] = multi_source_dijkstra(g, hierarchy_.levels[i], rank_);
+  });
+  for (const MultiSourceResult& level : pivots_) {
     // Connectivity ⇒ every vertex has a level-i pivot.
-    CROUTE_ASSERT(pivots_.back().reached(0) || g.num_vertices() == 0,
-                  "pivot computation failed");
+    CROUTE_ASSERT(level.reached(0), "pivot computation failed");
   }
 }
 
@@ -50,30 +55,24 @@ LocalTree canonical_top_tree(const Graph& g, VertexId w) {
 }  // namespace
 
 LocalTree TZPreprocessing::build_cluster(VertexId w) const {
+  if (center_level(w) + 1 >= k()) return canonical_top_tree(*g_, w);
+  RestrictedDijkstra rd(*g_);
+  return build_cluster(w, rd);
+}
+
+LocalTree TZPreprocessing::build_cluster(VertexId w,
+                                         RestrictedDijkstra& workspace) const {
   const std::uint32_t level = center_level(w);
   if (level + 1 >= k()) return canonical_top_tree(*g_, w);
-  RestrictedDijkstra rd(*g_);
   auto guard_fn = [&](VertexId v) { return cluster_guard(level, v); };
-  return make_local_tree(rd.run(w, rank_[w], guard_fn));
+  return make_local_tree(workspace.run(w, rank_[w], guard_fn));
 }
 
 void TZPreprocessing::for_each_cluster(
     const std::function<void(VertexId, const LocalTree&)>& consumer) const {
-  // One shared restricted-Dijkstra workspace serves every sub-top-level
-  // cluster; top-level centers (few, whole-graph trees) each run a plain
-  // Dijkstra and the canonical tree construction instead.
   RestrictedDijkstra rd(*g_);
   for (VertexId w = 0; w < g_->num_vertices(); ++w) {
-    const std::uint32_t level = center_level(w);
-    if (level + 1 >= k()) {
-      // Same dispatch as build_cluster (top-level short-circuits before
-      // its workspace is ever constructed).
-      consumer(w, build_cluster(w));
-      continue;
-    }
-    auto guard_fn = [&](VertexId v) { return cluster_guard(level, v); };
-    const LocalTree tree = make_local_tree(rd.run(w, rank_[w], guard_fn));
-    consumer(w, tree);
+    consumer(w, build_cluster(w, rd));
   }
 }
 

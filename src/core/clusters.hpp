@@ -19,10 +19,11 @@
 /// satisfies d(ŵ_i(v), v) = d(A_i, v) — exactly what every stretch proof
 /// uses — and guarantees v ∈ C(ŵ_i(v)), which is what routing needs.
 ///
-/// TZPreprocessing computes the hierarchy and all pivots once, and streams
-/// each cluster (as a LocalTree rooted at its center, built by restricted
-/// Dijkstra) to a consumer so that schemes never hold more than one
-/// cluster tree in memory.
+/// TZPreprocessing computes the hierarchy and all pivots once, and builds
+/// each cluster on demand (as a LocalTree rooted at its center, built by
+/// restricted Dijkstra), so schemes hold one cluster tree in memory at a
+/// time — or one bounded window of them when the sweep runs on a pool
+/// (core/tz_build.hpp).
 
 #pragma once
 
@@ -36,6 +37,8 @@
 
 namespace croute {
 
+class ThreadPool;
+
 /// Options shared by every TZ-derived scheme.
 struct PreprocessOptions {
   std::uint32_t k = 3;  ///< number of levels; stretch 2k-1 / 4k-5
@@ -46,10 +49,13 @@ struct PreprocessOptions {
 class TZPreprocessing {
  public:
   /// Runs hierarchy sampling and one multi-source Dijkstra per level.
-  /// Requires a connected graph with >= 1 vertex.
+  /// Requires a connected graph with >= 1 vertex. \p pool (optional,
+  /// borrowed for this call) shards the sampler's cluster measurements
+  /// and the per-level pivot runs; the result is identical at every
+  /// pool size.
   CROUTE_DETERMINISTIC TZPreprocessing(const Graph& g,
                                        const PreprocessOptions& options,
-                                       Rng& rng);
+                                       Rng& rng, ThreadPool* pool = nullptr);
 
   const Graph& graph() const noexcept { return *g_; }
   std::uint32_t k() const noexcept { return hierarchy_.k; }
@@ -92,14 +98,18 @@ class TZPreprocessing {
   /// distances). members/ports per spt.hpp. w itself is always included.
   LocalTree build_cluster(VertexId w) const;
 
+  /// Same tree, growing sub-top-level clusters in the caller's
+  /// restricted-Dijkstra \p workspace (reused across calls; one per
+  /// thread). Top-level centers run a plain Dijkstra and the canonical
+  /// tree construction (make_canonical_spt) instead.
+  LocalTree build_cluster(VertexId w, RestrictedDijkstra& workspace) const;
+
   /// Streams every cluster in ascending center id: consumer(w, tree).
-  /// Sequential; sub-top-level clusters share one restricted-Dijkstra
-  /// workspace, while each top-level center (whole-graph cluster) runs a
-  /// plain Dijkstra and the canonical tree construction
-  /// (make_canonical_spt). The incremental rebuilder
-  /// (core/incremental_rebuild.hpp) replays this exact sweep order
-  /// through the public pieces, re-running Dijkstra only from
-  /// invalidated roots.
+  /// Sequential, through build_cluster with one shared workspace. The
+  /// scheme builders (core/tz_build.hpp) sweep the same trees in the
+  /// same center order — in windows on a pool for fresh builds, and
+  /// re-running Dijkstra only from invalidated roots for incremental
+  /// ones.
   void for_each_cluster(
       const std::function<void(VertexId, const LocalTree&)>& consumer) const;
 

@@ -29,25 +29,20 @@ std::uint32_t fill_eytzinger(std::vector<std::uint32_t>& perm,
   return next;
 }
 
-/// Runs fn(v, perm_scratch) for every vertex, sharded over \p pool when it
-/// has more than one worker. Callers write only to slots derived from v
-/// (all offsets are prefix-summed up front), so the result is
-/// byte-identical at every pool size — including the serial fallback.
+/// Runs fn(v, perm_scratch) for every vertex, sharded over \p pool when
+/// one is given. Callers write only to slots derived from v (all offsets
+/// are prefix-summed up front), so the result is byte-identical at every
+/// pool size — including the serial fallback.
 void for_vertices(
     ThreadPool* pool, VertexId n,
     const std::function<void(VertexId, std::vector<std::uint32_t>&)>& fn) {
-  if (pool != nullptr && pool->size() > 1 && n > 1) {
-    std::vector<std::vector<std::uint32_t>> perms(pool->size());
-    pool->for_each(
-        n,
-        [&](std::uint64_t v, unsigned worker) {
-          fn(static_cast<VertexId>(v), perms[worker]);
-        },
-        64);
-  } else {
-    std::vector<std::uint32_t> perm;
-    for (VertexId v = 0; v < n; ++v) fn(v, perm);
-  }
+  std::vector<std::vector<std::uint32_t>> perms(pool_workers(pool));
+  for_each_index(
+      pool, n,
+      [&](std::uint64_t v, unsigned worker) {
+        fn(static_cast<VertexId>(v), perms[worker]);
+      },
+      64);
 }
 
 double ms_between(std::chrono::steady_clock::time_point a,
@@ -70,7 +65,8 @@ CROUTE_DETERMINISTIC FlatScheme::FlatScheme(const TZScheme& scheme,
     : base_(&scheme), options_(options) {
   using clock = std::chrono::steady_clock;
   ThreadPool* pool = options.pool;
-  stats_.threads = pool != nullptr ? std::max(1u, pool->size()) : 1;
+  options_.pool = nullptr;  // borrowed for this call only: never kept
+  stats_.threads = pool_workers(pool);
 
   const auto t0 = clock::now();
   compile_tables(pool);
@@ -294,13 +290,8 @@ void FlatScheme::compile_hashes(ThreadPool* pool) {
       dir_hash_ = PerfectHashMap::build(dir_kv, dir_rng, &dir_stats);
     }
   };
-  if (pool != nullptr && pool->size() > 1) {
-    pool->for_each(2, [&](std::uint64_t which, unsigned) { build_one(which); },
-                   1);
-  } else {
-    build_one(0);
-    build_one(1);
-  }
+  for_each_index(pool, 2,
+                 [&](std::uint64_t which, unsigned) { build_one(which); });
   stats_.fks_top_retries = tbl_stats.top_retries + dir_stats.top_retries;
   stats_.fks_bucket_retries =
       tbl_stats.bucket_retries + dir_stats.bucket_retries;

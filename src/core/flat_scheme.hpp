@@ -125,8 +125,9 @@ struct FlatSchemeOptions {
   /// so one index's retries never reseed the other).
   std::uint64_t hash_seed = 0x9e3779b97f4a7c15ULL;
   /// Optional pool to shard the compile passes over (borrowed for the
-  /// constructor call only; nullptr = serial). The compiled bytes are
-  /// identical at every pool size.
+  /// constructor call only and not kept: the compiled scheme's copy of
+  /// these options holds nullptr; nullptr = serial). The compiled bytes
+  /// are identical at every pool size.
   ThreadPool* pool = nullptr;
 };
 

@@ -1,7 +1,6 @@
 #include "core/incremental_rebuild.hpp"
 
 #include <chrono>
-#include <unordered_map>
 #include <utility>
 
 #include "core/tz_build.hpp"
@@ -191,7 +190,7 @@ class IncrementalRebuilder {
   static TZScheme rebuild(const TZScheme& prev, const Graph& g,
                           const GraphDelta& delta,
                           const TZSchemeOptions& options, Rng& rng,
-                          IncrementalRebuildStats& stats) {
+                          IncrementalRebuildStats& stats, ThreadPool* pool) {
     const auto t_total = clock::now();
     const VertexId n = g.num_vertices();
     CROUTE_REQUIRE(delta.n == n, "delta was computed for a different graph");
@@ -213,7 +212,7 @@ class IncrementalRebuilder {
     // the hierarchy draws interleave with cluster measurements, so
     // re-running them is what keeps byte-identity unconditional.
     const auto t_pre = clock::now();
-    out.pre_ = TZPreprocessing(g, options.pre, rng);
+    out.pre_ = TZPreprocessing(g, options.pre, rng, pool);
     stats.pre_s = seconds_since(t_pre);
     const TZPreprocessing& pre = out.pre_;
     const TZPreprocessing& old_pre = prev.preprocessing();
@@ -328,6 +327,8 @@ class IncrementalRebuilder {
     }
     std::vector<std::uint8_t> fresh_contrib(n, 0);
     out.dirs_.resize(n);
+    const tz_build::BuildTarget target{out.tree_codec_, id_bits, pending,
+                                       out.dirs_,       out.labels_, needed};
     RestrictedDijkstra rd(g);
     TopTreeUpdater top_updater(prev.graph(), g, delta, n);
     // A boundary-seeded update beats a full Dijkstra only while the
@@ -335,16 +336,15 @@ class IncrementalRebuilder {
     // bookkeeping costs more than it saves (the bytes are identical
     // either way — this is purely a cost cutover).
     const bool dynamic_top = delta.touched.size() * 8 < std::size_t{n};
-    std::unordered_map<VertexId, std::uint32_t> local_index;
+    tz_build::LocalIndex local_index(n, kNoLocal);
 
     // The fresh-construction consumer — the SAME code the fresh
     // constructor runs (core/tz_build.hpp), so the spliced and rebuilt
     // halves cannot drift apart.
     const auto consume_fresh = [&](VertexId w, std::uint32_t level,
                                    const LocalTree& tree) {
-      tz_build::consume_cluster(w, level, tree, out.tree_codec_, id_bits,
-                                pending, out.dirs_, out.labels_, needed,
-                                local_index, &fresh_contrib);
+      tz_build::consume_cluster(target, w, level, tree, local_index,
+                                &fresh_contrib);
     };
 
     for (VertexId w = 0; w < n; ++w) {
@@ -389,21 +389,13 @@ class IncrementalRebuilder {
         ++stats.top_trees_updated;
         continue;
       }
-      if (level + 1 >= k) {
-        // Top-level center without a same-shape previous tree (its level
-        // changed, or the previous hierarchy differs): fresh path.
-        consume_fresh(w, level, make_canonical_spt(g, w, dijkstra(g, w).dist));
-        stats.fresh_settled += n;
-        continue;
-      }
-
-      // Invalidated root below the top level: the exact
-      // fresh-construction path (a seeded heap would break the
-      // byte-identity tie-breaking contract; these runs are bounded by
-      // their cluster size anyway).
-      auto guard_fn = [&](VertexId v) { return pre.cluster_guard(level, v); };
-      const LocalTree tree =
-          make_local_tree(rd.run(w, pre.rank()[w], guard_fn));
+      // Invalidated root without a reusable tree: the exact
+      // fresh-construction path. Below the top level a seeded heap would
+      // break the byte-identity tie-breaking contract (these runs are
+      // bounded by their cluster size anyway); a top-level center here
+      // lacks a same-shape previous tree (its level changed, or the
+      // previous hierarchy differs).
+      const LocalTree tree = pre.build_cluster(w, rd);
       stats.fresh_settled += tree.size();
       consume_fresh(w, level, tree);
     }
@@ -477,10 +469,12 @@ CROUTE_DETERMINISTIC TZScheme rebuild_tz_incremental(const TZScheme& previous,
                                                      const Graph& g,
                                 const GraphDelta& delta,
                                 const TZSchemeOptions& options, Rng& rng,
-                                IncrementalRebuildStats* stats) {
+                                IncrementalRebuildStats* stats,
+                                ThreadPool* pool) {
   IncrementalRebuildStats local;
   IncrementalRebuildStats& s = stats != nullptr ? *stats : local;
-  return IncrementalRebuilder::rebuild(previous, g, delta, options, rng, s);
+  return IncrementalRebuilder::rebuild(previous, g, delta, options, rng, s,
+                                       pool);
 }
 
 }  // namespace croute

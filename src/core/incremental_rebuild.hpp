@@ -118,9 +118,13 @@ struct IncrementalRebuildStats {
 /// options (same k, sampling mode, hash/label switches). Callers that
 /// cannot guarantee compatibility use build_scheme_package_incremental,
 /// which falls back to a full build instead.
+///
+/// \p pool (optional, borrowed) shards the fresh hierarchy sampling and
+/// pivots; the reuse sweep itself stays serial.
 TZScheme rebuild_tz_incremental(const TZScheme& previous, const Graph& g,
                                 const GraphDelta& delta,
                                 const TZSchemeOptions& options, Rng& rng,
-                                IncrementalRebuildStats* stats = nullptr);
+                                IncrementalRebuildStats* stats = nullptr,
+                                ThreadPool* pool = nullptr);
 
 }  // namespace croute

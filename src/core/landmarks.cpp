@@ -4,6 +4,8 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "util/parallel.hpp"
+
 namespace croute {
 
 namespace {
@@ -40,7 +42,7 @@ std::vector<VertexId> center_sample_level(
     const Graph& g, const std::vector<VertexId>& candidates,
     double target_size, double cluster_cap,
     const std::vector<std::uint32_t>& rank, Rng& rng,
-    std::uint32_t max_rounds) {
+    std::uint32_t max_rounds, ThreadPool* pool) {
   CROUTE_REQUIRE(!candidates.empty(), "candidate set must be non-empty");
   CROUTE_REQUIRE(cluster_cap >= 1, "cluster cap must be at least 1");
   // One stream draw seeds every keyed coin of this level (see
@@ -58,7 +60,10 @@ std::vector<VertexId> center_sample_level(
   std::vector<std::uint8_t> in_a(g.num_vertices(), 0);
   std::vector<VertexId> a;
   std::vector<VertexId> overweight = candidates;  // W in the paper
-  RestrictedDijkstra rd(g);
+  std::vector<RestrictedDijkstra> workspaces;  // one per pool worker
+  workspaces.reserve(pool_workers(pool));
+  for (unsigned i = 0; i < pool_workers(pool); ++i) workspaces.emplace_back(g);
+  std::vector<std::uint8_t> over;  // per-candidate measurement slot
 
   for (std::uint32_t round = 0; round < max_rounds; ++round) {
     // sample(W, s): keep each element with probability s/|W|.
@@ -78,13 +83,26 @@ std::vector<VertexId> center_sample_level(
     // tightens guards lexicographically, so clusters shrink monotonically
     // and a candidate once under the cap stays under it — rounds after
     // the first measure a small and shrinking set.
+    // The measurements are independent, so they shard over the pool;
+    // each writes its own slot and still_over is collected in candidate
+    // order, which keeps the result pool-size-invariant.
     const MultiSourceResult guards = multi_source_dijkstra(g, a, rank);
-    auto guard_fn = [&](VertexId v) { return guards.guard(v, rank); };
+    const std::function<LexDist(VertexId)> guard_fn = [&](VertexId v) {
+      return guards.guard(v, rank);
+    };
+    over.assign(overweight.size(), 0);
+    for_each_index(
+        pool, overweight.size(),
+        [&](std::uint64_t i, unsigned worker) {
+          const VertexId w = overweight[i];
+          if (in_a[w]) return;
+          over[i] = workspaces[worker].run(w, rank[w], guard_fn, cap + 1)
+                        .size() > cap;
+        },
+        16);
     std::vector<VertexId> still_over;
-    for (const VertexId w : overweight) {
-      if (in_a[w]) continue;
-      const auto members = rd.run(w, rank[w], guard_fn, cap + 1);
-      if (members.size() > cap) still_over.push_back(w);
+    for (std::size_t i = 0; i < overweight.size(); ++i) {
+      if (over[i]) still_over.push_back(overweight[i]);
     }
     if (still_over.empty()) {
       normalize(a);
@@ -108,7 +126,8 @@ std::vector<VertexId> center_sample_level(
 CROUTE_DETERMINISTIC LandmarkHierarchy build_hierarchy(const Graph& g,
                                                        std::uint32_t k,
                                   const std::vector<std::uint32_t>& rank,
-                                  Rng& rng, const HierarchyOptions& options) {
+                                  Rng& rng, const HierarchyOptions& options,
+                                  ThreadPool* pool) {
   const VertexId n = g.num_vertices();
   CROUTE_REQUIRE(k >= 1, "hierarchy needs at least one level");
   CROUTE_REQUIRE(n >= 1, "graph must be non-empty");
@@ -131,7 +150,7 @@ CROUTE_DETERMINISTIC LandmarkHierarchy build_hierarchy(const Graph& g,
           options.cap_factor *
           std::pow(nd, static_cast<double>(i) / static_cast<double>(k));
       h.levels[i] = center_sample_level(g, prev, target, cap, rank, rng,
-                                        options.max_rounds);
+                                        options.max_rounds, pool);
     } else {
       const double p = std::pow(nd, -1.0 / static_cast<double>(k));
       const std::uint64_t coin_base = rng();

@@ -46,6 +46,8 @@
 
 namespace croute {
 
+class ThreadPool;
+
 /// Which level sampler to use.
 enum class SamplingMode {
   kBernoulli,  ///< i.i.d. sampling; expected-size guarantees only
@@ -80,20 +82,28 @@ struct LandmarkHierarchy {
 /// C(w) = {v : (d(w,v), rank(w)) <lex (d(A,v), rank(p_A(v)))}.
 /// Expected |A| = O(target_size · log n). If target_size >= |candidates|
 /// the whole candidate set is returned.
+///
+/// \p pool (optional, borrowed) shards each round's cluster
+/// measurements: every candidate writes its own result slot and the
+/// overweight set is collected in candidate order, so the result is the
+/// same at every pool size.
 std::vector<VertexId> center_sample_level(const Graph& g,
                                           const std::vector<VertexId>& candidates,
                                           double target_size,
                                           double cluster_cap,
                                           const std::vector<std::uint32_t>& rank,
                                           Rng& rng,
-                                          std::uint32_t max_rounds = 64);
+                                          std::uint32_t max_rounds = 64,
+                                          ThreadPool* pool = nullptr);
 
 /// Builds the k-level hierarchy over a connected graph.
 /// Level sizes target n^{1-i/k}; A_{k-1} is guaranteed non-empty.
+/// \p pool as in center_sample_level.
 LandmarkHierarchy build_hierarchy(const Graph& g, std::uint32_t k,
                                   const std::vector<std::uint32_t>& rank,
                                   Rng& rng,
-                                  const HierarchyOptions& options = {});
+                                  const HierarchyOptions& options = {},
+                                  ThreadPool* pool = nullptr);
 
 /// Measures |C(w)| for every w ∈ candidates against landmark set A
 /// (exact, no cap). Used by tests and the T7 bench.

@@ -1,22 +1,28 @@
 #include "core/tz_scheme.hpp"
 
-#include <unordered_map>
+#include <chrono>
 
 #include "core/tz_build.hpp"
+#include "util/parallel.hpp"
 
 namespace croute {
 
 CROUTE_DETERMINISTIC TZScheme::TZScheme(const Graph& g,
                                         const TZSchemeOptions& options,
-                                        Rng& rng)
+                                        Rng& rng, ThreadPool* pool,
+                                        TZBuildPhases* phases)
     : g_(&g),
       options_(options),
-      pre_(g, options.pre, rng),
       tree_codec_(g.num_vertices(), g.max_degree()),
       codec_(g.num_vertices(), g.max_degree(),
              options.labels_carry_distances) {
+  using clock = std::chrono::steady_clock;
   const VertexId n = g.num_vertices();
   const std::uint32_t id_bits = bits_for_universe(n);
+
+  const auto t_pre = clock::now();
+  pre_ = TZPreprocessing(g, options.pre, rng, pool);
+  const auto t_sweep = clock::now();
 
   // ---- label skeletons: per destination, the distinct effective pivots;
   // needed[w] lists the tree labels the cluster sweep must extract.
@@ -29,20 +35,29 @@ CROUTE_DETERMINISTIC TZScheme::TZScheme(const Graph& g,
   //      record w's cluster directory (rule-0 routing state).
   std::vector<tz_build::PendingTable> pending(n);
   dirs_.resize(n);
-  std::unordered_map<VertexId, std::uint32_t> local_index;
-  pre_.for_each_cluster([&](VertexId w, const LocalTree& tree) {
-    tz_build::consume_cluster(w, pre_.center_level(w), tree, tree_codec_,
-                              id_bits, pending, dirs_, labels_, needed,
-                              local_index);
-  });
+  tz_build::sweep_clusters(
+      pre_, {tree_codec_, id_bits, pending, dirs_, labels_, needed}, pool);
+  const auto t_finalize = clock::now();
 
-  // ---- finalize tables.
-  tables_.reserve(n);
-  for (VertexId v = 0; v < n; ++v) {
-    tables_.emplace_back(std::move(pending[v].entries),
-                         std::move(pending[v].light_pool), tree_codec_,
-                         id_bits);
-    if (options.hash_index) tables_.back().build_hash_index(rng);
+  // ---- finalize tables (independent per vertex); the FKS draws then
+  // consume the stream in vertex order.
+  tables_.resize(n);
+  for_each_index(
+      pool, n,
+      [&](std::uint64_t v, unsigned) {
+        tables_[v] = VertexTable(std::move(pending[v].entries),
+                                 std::move(pending[v].light_pool),
+                                 tree_codec_, id_bits);
+      },
+      256);
+  if (options.hash_index) {
+    for (VertexTable& table : tables_) table.build_hash_index(rng);
+  }
+  if (phases != nullptr) {
+    phases->sampling_pivots_s =
+        std::chrono::duration<double>(t_sweep - t_pre).count();
+    phases->cluster_sweep_s =
+        std::chrono::duration<double>(t_finalize - t_sweep).count();
   }
 }
 

@@ -8,9 +8,10 @@
 ///      build the tree-routing structures of the shortest-path tree T_w,
 ///      and scatter node records into the routing tables of C(w)'s
 ///      members; destinations whose labels reference T_w get their tree
-///      label extracted from the same pass;
+///      label extracted from the same pass (core/tz_build.hpp);
 ///   4. finalize per-vertex tables (sort, bit-account, optional FKS index)
 ///      and per-destination labels.
+/// Steps 1–4 take an optional thread pool; the bytes do not depend on it.
 ///
 /// Guarantees (validated by tests/benches):
 ///   - routing s→t delivers over a path of weighted length at most
@@ -32,6 +33,8 @@
 
 namespace croute {
 
+class ThreadPool;
+
 /// Construction options for TZScheme.
 struct TZSchemeOptions {
   PreprocessOptions pre;  ///< k and hierarchy sampling
@@ -43,13 +46,26 @@ struct TZSchemeOptions {
   bool labels_carry_distances = false;
 };
 
+/// Wall time of one fresh TZScheme construction, by phase. Table
+/// finalization is the rest of the construction time.
+struct TZBuildPhases {
+  double sampling_pivots_s = 0;  ///< rank, hierarchy sampling, pivots
+  double cluster_sweep_s = 0;    ///< label skeletons + every cluster tree
+};
+
 /// An immutable compact routing scheme over one connected graph.
 class TZScheme {
  public:
   /// Preprocesses \p g. The graph must stay alive as long as the scheme.
-  /// Deterministic in (graph, options, rng state): same bytes every run.
+  /// Deterministic in (graph, options, rng state): same bytes every run,
+  /// at every pool size. \p pool (optional, borrowed for this call)
+  /// shards landmark sampling, the cluster sweep and table finalization
+  /// (core/tz_build.hpp); nullptr builds serially. \p phases (optional)
+  /// receives the phase wall times.
   CROUTE_DETERMINISTIC TZScheme(const Graph& g,
-                                const TZSchemeOptions& options, Rng& rng);
+                                const TZSchemeOptions& options, Rng& rng,
+                                ThreadPool* pool = nullptr,
+                                TZBuildPhases* phases = nullptr);
 
   const Graph& graph() const noexcept { return *g_; }
   CROUTE_HOT std::uint32_t k() const noexcept { return pre_.k(); }

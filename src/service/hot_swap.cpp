@@ -54,11 +54,21 @@ void emit_rebuild_spans(obs::TraceRecorder& trace, const SchemePackage& pkg,
     }
     emit("finalize", "rebuild.tz", inc.finalize_s);
   } else {
-    // Full preprocessing is one opaque phase: everything build_seconds
-    // covers except the separately-attributed diff and flat compile.
+    // Everything build_seconds covers except the separately-attributed
+    // diff and flat compile. A fresh TZ build splits it at the
+    // constructor's phase boundaries; finalize takes the rest (table
+    // finalization plus package assembly), so the spans sum exactly.
     const double flat_s = pkg.flat_stats.total_ms / 1e3;
-    emit("tz_preprocess", "rebuild.tz",
-         pkg.build_seconds - inc.diff_s - flat_s);
+    const double rest = pkg.build_seconds - inc.diff_s - flat_s;
+    const TZBuildPhases& ph = pkg.tz_phases;
+    if (ph.cluster_sweep_s > 0) {
+      emit("sampling_pivots", "rebuild.tz", ph.sampling_pivots_s);
+      emit("cluster_sweep", "rebuild.tz", ph.cluster_sweep_s);
+      emit("finalize", "rebuild.tz",
+           rest - ph.sampling_pivots_s - ph.cluster_sweep_s);
+    } else {
+      emit("preprocess", "rebuild", rest);  // baseline kinds: one phase
+    }
   }
   const FlatCompileStats& fs = pkg.flat_stats;
   emit("flat_tables", "rebuild.flat", fs.tables_ms / 1e3);

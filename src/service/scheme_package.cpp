@@ -125,42 +125,41 @@ SchemePackagePtr build_package(std::shared_ptr<const Graph> graph,
   switch (options.scheme) {
     case SchemeKind::kTZDirect:
     case SchemeKind::kTZHandshake: {
+      // One set-up pool, created before preprocessing and shared by the
+      // TZ build (sampling, cluster sweep, finalize) and the flat
+      // compile; both produce the same bytes at every pool size. Serial
+      // when one thread is asked for — a pool would only add queue
+      // overhead.
+      const unsigned setup_threads = options.compile_threads != 0
+                                         ? options.compile_threads
+                                         : worker_count();
+      std::unique_ptr<ThreadPool> setup_pool;
+      if (setup_threads > 1) {
+        setup_pool = std::make_unique<ThreadPool>(setup_threads);
+      }
+      ThreadPool* pool = setup_pool.get();
+      TZSchemeOptions opt;
+      opt.pre.k = options.k;
+      opt.pre.hierarchy.mode = options.sampling;
+      Rng rng(options.seed);
       if (!options.warm_start_path.empty()) {
         pkg->tz = std::make_unique<const TZScheme>(
             load_scheme_file(options.warm_start_path, g));
       } else if (previous != nullptr) {
-        TZSchemeOptions opt;
-        opt.pre.k = options.k;
-        opt.pre.hierarchy.mode = options.sampling;
-        Rng rng(options.seed);
         const auto diff_begin = clock::now();
         const GraphDelta delta = diff_graphs(*previous->graph, g);
         incr_stats.diff_s =
             std::chrono::duration<double>(clock::now() - diff_begin).count();
         pkg->tz = std::make_unique<const TZScheme>(rebuild_tz_incremental(
-            *previous->tz, g, delta, opt, rng, &incr_stats));
+            *previous->tz, g, delta, opt, rng, &incr_stats, pool));
       } else {
-        TZSchemeOptions opt;
-        opt.pre.k = options.k;
-        opt.pre.hierarchy.mode = options.sampling;
-        Rng rng(options.seed);
-        pkg->tz = std::make_unique<const TZScheme>(g, opt, rng);
+        pkg->tz = std::make_unique<const TZScheme>(g, opt, rng, pool,
+                                                   &pkg->tz_phases);
       }
       FlatSchemeOptions fopt;
       fopt.lookup = options.flat_lookup;
       fopt.hash_seed = mix64(options.seed ^ 0xf1a7c0def1a7c0deULL);
-      // Shard the compile over a transient pool (per-vertex slices are
-      // disjoint; the compiled bytes are pool-size-invariant). Serial
-      // when only one core is available — the pool would only add
-      // queue overhead.
-      const unsigned compile_threads = options.compile_threads != 0
-                                           ? options.compile_threads
-                                           : worker_count();
-      std::unique_ptr<ThreadPool> compile_pool;
-      if (compile_threads > 1) {
-        compile_pool = std::make_unique<ThreadPool>(compile_threads);
-        fopt.pool = compile_pool.get();
-      }
+      fopt.pool = pool;
       pkg->flat = std::make_unique<const FlatScheme>(*pkg->tz, fopt);
       pkg->flat_router = std::make_unique<const FlatRouter>(*pkg->flat);
       pkg->flat_stats = pkg->flat->compile_stats();

@@ -92,8 +92,10 @@ struct RouteServiceOptions {
   /// (one descent at a time); answers are byte-identical either way.
   /// At most 4096; 8–16 covers the dev containers we measure on.
   std::uint32_t batch_group = 16;
-  /// Worker threads for the flat compile passes (0 = worker_count(),
-  /// 1 = serial). The compiled bytes are identical at every count.
+  /// Worker threads for building a TZ generation (0 = worker_count(),
+  /// 1 = serial): one set-up pool covers landmark sampling, the cluster
+  /// sweep, table finalization and the flat compile. The built bytes are
+  /// identical at every count.
   unsigned compile_threads = 0;
   /// Rebuild path on topology churn (TZ schemes): true lets
   /// SchemeManager rebuild delta-aware, reusing every cluster SPT the
@@ -171,6 +173,9 @@ struct SchemePackage {
   std::unique_ptr<const FlatCowen> flat_cowen;     ///< kCowen
   std::unique_ptr<const FlatFullTable> flat_full;  ///< kFullTable
   double build_seconds = 0;  ///< wall time of build_scheme_package
+  /// Phase split of a fresh TZ construction (zeros when this generation
+  /// was warm-started, rebuilt incrementally, or is a baseline kind).
+  TZBuildPhases tz_phases;
   /// Where the flat compile's time/space went (zeros for the baseline
   /// kinds) — surfaced per swap by the rebuild telemetry.
   FlatCompileStats flat_stats;

@@ -13,23 +13,26 @@ HeavyPathDecomposition::HeavyPathDecomposition(const Tree& tree) {
   dfs_in_.assign(n, 0);
   dfs_out_.assign(n, 0);
   order_.assign(n, 0);
-  visit_children_.assign(n, {});
+  visit_off_.assign(std::size_t{n} + 1, 0);
+  visit_.clear();
+  visit_.reserve(n);
 
   // Heavy children and per-node visit orders.
   for (std::uint32_t v = 0; v < n; ++v) {
     const auto kids = tree.children(v);
+    visit_off_[v] = static_cast<std::uint32_t>(visit_.size());
     if (kids.empty()) continue;
-    std::vector<std::uint32_t> order(kids.begin(), kids.end());
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                const std::uint32_t sa = tree.subtree_size(a);
-                const std::uint32_t sb = tree.subtree_size(b);
-                if (sa != sb) return sa > sb;
-                return a < b;
-              });
-    heavy_child_[v] = order.front();
-    visit_children_[v] = std::move(order);
+    visit_.insert(visit_.end(), kids.begin(), kids.end());
+    const auto order = visit_.begin() + visit_off_[v];
+    std::sort(order, visit_.end(), [&](std::uint32_t a, std::uint32_t b) {
+      const std::uint32_t sa = tree.subtree_size(a);
+      const std::uint32_t sb = tree.subtree_size(b);
+      if (sa != sb) return sa > sb;
+      return a < b;
+    });
+    heavy_child_[v] = *order;
   }
+  visit_off_[n] = static_cast<std::uint32_t>(visit_.size());
   for (std::uint32_t v = 0; v < n; ++v) {
     if (tree.is_root(v)) continue;
     light_[v] = heavy_child_[tree.parent(v)] != v;
@@ -45,7 +48,7 @@ HeavyPathDecomposition::HeavyPathDecomposition(const Tree& tree) {
   order_[counter++] = root;
   while (!stack.empty()) {
     auto& [v, idx] = stack.back();
-    const auto& kids = visit_children_[v];
+    const auto kids = visit_order(v);
     if (idx < kids.size()) {
       const std::uint32_t c = kids[idx++];
       light_depth_[c] = light_depth_[v] + (light_[c] ? 1 : 0);

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "tree/tree.hpp"
@@ -49,8 +50,8 @@ class HeavyPathDecomposition {
   }
 
   /// Children of v in visit order (heavy first, then decreasing size).
-  const std::vector<std::uint32_t>& visit_order(std::uint32_t v) const {
-    return visit_children_[v];
+  std::span<const std::uint32_t> visit_order(std::uint32_t v) const {
+    return {visit_.data() + visit_off_[v], visit_off_[v + 1] - visit_off_[v]};
   }
 
   /// Max light depth over all nodes (the scheme's label-length driver).
@@ -64,7 +65,8 @@ class HeavyPathDecomposition {
   std::vector<std::uint32_t> dfs_in_;
   std::vector<std::uint32_t> dfs_out_;
   std::vector<std::uint32_t> order_;
-  std::vector<std::vector<std::uint32_t>> visit_children_;
+  std::vector<std::uint32_t> visit_off_;  ///< n+1 offsets into visit_
+  std::vector<std::uint32_t> visit_;      ///< children, in visit order
   std::uint32_t max_light_depth_ = 0;
 };
 

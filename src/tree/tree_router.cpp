@@ -7,7 +7,7 @@ TreeRoutingScheme::TreeRoutingScheme(const LocalTree& local) {
   const HeavyPathDecomposition hpd(tree);
   const std::uint32_t n = tree.size();
   records_.resize(n);
-  labels_.resize(n);
+  light_off_.resize(n);
 
   for (std::uint32_t v = 0; v < n; ++v) {
     TreeNodeRecord& r = records_[v];
@@ -27,7 +27,11 @@ TreeRoutingScheme::TreeRoutingScheme(const LocalTree& local) {
   }
 
   // Labels along the heavy-first preorder: maintain the stack of light
-  // ports taken on the root path.
+  // ports taken on the root path, and append each node's copy of it to
+  // the pool (its length is the node's light depth).
+  std::uint64_t pool_size = 0;
+  for (const TreeNodeRecord& r : records_) pool_size += r.light_depth;
+  light_pool_.reserve(pool_size);
   std::vector<Port> light_stack;
   // Iterative DFS mirroring HeavyPathDecomposition's visit order.
   struct Frame {
@@ -36,16 +40,19 @@ TreeRoutingScheme::TreeRoutingScheme(const LocalTree& local) {
   };
   std::vector<Frame> stack;
   const std::uint32_t root = tree.root();
-  labels_[root] = TreeLabel{hpd.dfs_in(root), {}};
+  light_off_[root] = 0;
   stack.push_back(Frame{root, 0});
   while (!stack.empty()) {
     Frame& f = stack.back();
-    const auto& kids = hpd.visit_order(f.node);
+    const auto kids = hpd.visit_order(f.node);
     if (f.next_child < kids.size()) {
       const std::uint32_t c = kids[f.next_child++];
       if (hpd.is_light(c)) light_stack.push_back(local.down_port[c]);
-      labels_[c].dfs_in = hpd.dfs_in(c);
-      labels_[c].light_ports = light_stack;
+      CROUTE_DCHECK(light_stack.size() == records_[c].light_depth,
+                    "light stack out of step with the light depth");
+      light_off_[c] = static_cast<std::uint32_t>(light_pool_.size());
+      light_pool_.insert(light_pool_.end(), light_stack.begin(),
+                         light_stack.end());
       stack.push_back(Frame{c, 0});
     } else {
       const std::uint32_t v = f.node;
@@ -53,6 +60,11 @@ TreeRoutingScheme::TreeRoutingScheme(const LocalTree& local) {
       if (v != root && hpd.is_light(v)) light_stack.pop_back();
     }
   }
+}
+
+TreeLabel TreeRoutingScheme::label(std::uint32_t local) const {
+  const std::span<const Port> ports = light_ports(local);
+  return TreeLabel{records_[local].dfs_in, {ports.begin(), ports.end()}};
 }
 
 TreeDecision TreeRoutingScheme::decide(const TreeNodeRecord& here,

@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/spt.hpp"
@@ -75,7 +76,15 @@ class TreeRoutingScheme {
   const TreeNodeRecord& record(std::uint32_t local) const {
     return records_[local];
   }
-  const TreeLabel& label(std::uint32_t local) const { return labels_[local]; }
+  /// Label of \p local, materialized (allocates; see light_ports).
+  TreeLabel label(std::uint32_t local) const;
+  /// The light ports of \p local's label, without materializing it. The
+  /// label's dfs half is record(local).dfs_in, and its length is
+  /// record(local).light_depth.
+  std::span<const Port> light_ports(std::uint32_t local) const {
+    return {light_pool_.data() + light_off_[local],
+            records_[local].light_depth};
+  }
 
   /// O(1) routing decision (static: needs only the two arguments).
   static TreeDecision decide(const TreeNodeRecord& here, const TreeLabel& dest);
@@ -107,7 +116,11 @@ class TreeRoutingScheme {
 
  private:
   std::vector<TreeNodeRecord> records_;
-  std::vector<TreeLabel> labels_;
+  /// Labels pooled: every node's light-port sequence, concatenated in
+  /// heavy-first preorder, and where each node's sequence starts. One
+  /// allocation per tree instead of one per node.
+  std::vector<std::uint32_t> light_off_;
+  std::vector<Port> light_pool_;
 };
 
 }  // namespace croute

@@ -1,5 +1,6 @@
 #include "util/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <exception>
@@ -205,6 +206,20 @@ void ThreadPool::for_each(std::uint64_t count,
   std::unique_lock lock(state->done_mutex);
   state->done_cv.wait(lock, [&] { return state->pending == 0; });
   if (state->first_error) std::rethrow_exception(state->first_error);
+}
+
+void for_each_index(ThreadPool* pool, std::uint64_t count,
+                    const std::function<void(std::uint64_t, unsigned)>& fn,
+                    std::uint64_t grain) {
+  if (pool != nullptr) {
+    pool->for_each(count, fn, grain);
+    return;
+  }
+  for (std::uint64_t i = 0; i < count; ++i) fn(i, 0);
+}
+
+unsigned pool_workers(const ThreadPool* pool) noexcept {
+  return pool != nullptr ? std::max(1u, pool->size()) : 1;
 }
 
 }  // namespace croute

@@ -110,4 +110,16 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
+/// Runs fn(i, worker) for every i in [0, count) on \p pool when one is
+/// given (ThreadPool::for_each), otherwise inline on the caller with
+/// worker index 0. Lets code that borrows an optional pool (set-up
+/// passes) keep one loop body for the serial and the sharded case.
+void for_each_index(ThreadPool* pool, std::uint64_t count,
+                    const std::function<void(std::uint64_t, unsigned)>& fn,
+                    std::uint64_t grain = 1);
+
+/// Worker slots a for_each_index call on \p pool may use: pool->size(),
+/// or 1 for a null pool. Size per-worker scratch with it.
+unsigned pool_workers(const ThreadPool* pool) noexcept;
+
 }  // namespace croute

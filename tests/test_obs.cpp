@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -442,6 +443,36 @@ TEST(ServiceObs, RebuildTraceSpansSumToTelemetryAttribution) {
   EXPECT_TRUE(saw_publish);
   EXPECT_NEAR(tz_span_s, tel.incremental_preprocess_seconds,
               0.1 * tel.incremental_preprocess_seconds + 1e-6);
+}
+
+// A full rebuild splits its TZ preprocessing into the same phase spans
+// the incremental path uses (sampling_pivots, cluster_sweep, finalize),
+// and they still add up to build_seconds minus the flat compile.
+TEST(ServiceObs, FullRebuildTraceSplitsPreprocessingPhases) {
+  Rng grng(34);
+  const Graph g = make_workload(GraphFamily::kErdosRenyi, 400, grng);
+  for (const unsigned compile_threads : {1u, 3u}) {
+    RouteServiceOptions opt = small_opts(2);
+    opt.compile_threads = compile_threads;
+    RouteService service(g, opt);
+    SchemeManager manager(service);
+    const SchemePackagePtr pkg =
+        manager.rebuild_now(Graph(g), RebuildMode::kFull);
+    ASSERT_FALSE(pkg->incr_stats.used);
+    ASSERT_NE(service.trace_recorder(), nullptr);
+    double tz_span_s = 0;
+    std::set<std::string> phases;
+    for (const obs::TraceEvent& e : service.trace_recorder()->events()) {
+      if (std::string(e.cat) != "rebuild.tz") continue;
+      tz_span_s += e.dur_us / 1e6;
+      phases.insert(e.name);
+    }
+    EXPECT_EQ(phases, (std::set<std::string>{"sampling_pivots",
+                                             "cluster_sweep", "finalize"}));
+    const double expected =
+        pkg->build_seconds - pkg->flat_stats.total_ms / 1e3;
+    EXPECT_NEAR(tz_span_s, expected, 1e-6 * expected + 1e-9);
+  }
 }
 
 TEST(ServiceObs, BatchEngineOccupancySampling) {

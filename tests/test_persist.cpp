@@ -143,6 +143,25 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, ArtifactRoundtrip,
                                            SchemeKind::kCowen,
                                            SchemeKind::kFullTable));
 
+// Set-up threads change how fast a TZ generation builds, never its
+// bytes: one pool shards landmark sampling, the cluster sweep, table
+// finalization and the flat compile. n > the sweep window, so the
+// parallel sweep runs more than one window.
+TEST(ArtifactRoundtrip, SetupThreadsDoNotChangeBytes) {
+  const Graph g = test_graph(5, 2600);
+  for (const SchemeKind kind :
+       {SchemeKind::kTZDirect, SchemeKind::kTZHandshake}) {
+    RouteServiceOptions opt = base_options(kind);
+    opt.compile_threads = 1;
+    const std::string serial = persist::encode_package(*build(g, opt), 1);
+    opt.compile_threads = 4;
+    const SchemePackagePtr parallel = build(g, opt);
+    EXPECT_GT(parallel->tz_phases.cluster_sweep_s, 0);
+    EXPECT_TRUE(persist::encode_package(*parallel, 1) == serial)
+        << scheme_name(kind);
+  }
+}
+
 TEST(ArtifactRoundtrip, FKSLookupRoundtrips) {
   // The FKS perfect-hash indexes are derived state: not serialized,
   // recomputed on decode from the stored hash seed. The re-encode is

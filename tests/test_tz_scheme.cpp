@@ -9,9 +9,14 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <sstream>
+#include <utility>
 
+#include "core/scheme_io.hpp"
+#include "core/tz_build.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
+#include "util/parallel.hpp"
 #include "util/random.hpp"
 
 namespace croute {
@@ -285,6 +290,68 @@ TEST(TZScheme, BunchMassEqualsClusterMass) {
     cluster_mass += size;
   }
   EXPECT_EQ(bunch_mass, cluster_mass);
+}
+
+// The set-up pool shards landmark sampling, the cluster sweep and table
+// finalization; the saved bytes must not depend on it. Graphs larger
+// than one sweep window put whole-graph (top-level) centers in several
+// windows, and k = 2 has enough of them that windows also close on the
+// one-top-tree-per-worker cap.
+TEST(TZScheme, ParallelBuildMatchesSerial) {
+  Rng graph_rng(16);
+  const VertexId n = tz_build::kSweepWindow + 600;
+  const Graph g = erdos_renyi_gnm(n, 4 * n, graph_rng);
+  for (const std::uint32_t k : {2u, 3u, 4u}) {
+    for (const SamplingMode mode :
+         {SamplingMode::kCentered, SamplingMode::kBernoulli}) {
+      TZSchemeOptions opt;
+      opt.pre.k = k;
+      opt.pre.hierarchy.mode = mode;
+      const auto save = [&](ThreadPool* pool) {
+        Rng rng(42);
+        const TZScheme scheme(g, opt, rng, pool);
+        std::ostringstream os;
+        save_scheme(os, scheme);
+        return std::make_pair(os.str(), scheme.preprocessing().hierarchy());
+      };
+      const auto [serial, h] = save(nullptr);
+      std::uint32_t first_window_tops = 0, later_tops = 0;
+      for (const VertexId w : h.levels[k - 1]) {
+        (w < tz_build::kSweepWindow ? first_window_tops : later_tops) += 1;
+      }
+      ASSERT_GT(first_window_tops, 0u) << "k=" << k;
+      ASSERT_GT(later_tops, 0u) << "k=" << k;
+      if (k == 2) {
+        ASSERT_GT(first_window_tops, 4u);
+      }
+      for (const unsigned threads : {1u, 2u, 3u, 4u}) {
+        ThreadPool pool(threads);
+        ASSERT_TRUE(save(&pool).first == serial)
+            << "k=" << k << " mode=" << static_cast<int>(mode)
+            << " threads=" << threads;
+      }
+    }
+  }
+}
+
+// The sampler's measurements shard over the pool; the landmark set must
+// be the same at every pool size.
+TEST(TZScheme, ParallelSamplingMatchesSerial) {
+  Rng graph_rng(17);
+  const Graph g = barabasi_albert(1500, 3, graph_rng);
+  Rng rank_rng(3);
+  const std::vector<std::uint32_t> rank = rank_rng.permutation(1500);
+  std::vector<VertexId> all(1500);
+  for (VertexId v = 0; v < 1500; ++v) all[v] = v;
+  Rng serial_rng(9);
+  const auto serial =
+      center_sample_level(g, all, 40.0, 60.0, rank, serial_rng);
+  ThreadPool pool(3);
+  Rng parallel_rng(9);
+  EXPECT_EQ(center_sample_level(g, all, 40.0, 60.0, rank, parallel_rng, 64,
+                                &pool),
+            serial);
+  EXPECT_EQ(parallel_rng(), serial_rng());  // same stream consumption
 }
 
 }  // namespace
