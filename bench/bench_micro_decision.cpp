@@ -6,13 +6,14 @@
 /// memory-layout question, and this bench tracks it across PRs: the
 /// legacy pointer-rich structures (per-vertex VertexTable binary search,
 /// ClusterDirectory probe, TreeLabel-allocating prepare) against the flat
-/// structure-of-arrays view of core/flat_scheme.hpp in both lookup
-/// layouts (Eytzinger descent and the global FKS perfect hash).
+/// structure-of-arrays view of core/flat_scheme.hpp (Eytzinger-ordered
+/// key slices). Row and key names keep their `eytzinger` tag so the
+/// committed trajectory stays comparable across PRs.
 ///
 /// "decision" is the full source decision: prepare (rule 0 + label scan)
 /// followed by the first per-hop step — exactly the per-packet work the
-/// paper bounds. The headline `flat_speedup` scalar is
-/// legacy_decision_ns / flat_decision_ns for the default (FKS) layout.
+/// paper bounds. The headline `flat_speedup_eytzinger` scalar is
+/// legacy_decision_ns / flat_eytzinger_decision_ns.
 ///
 /// The `route/*` rows measure the *serving* op — prepare plus the whole
 /// per-hop walk to delivery — scalar versus the batch-pipelined engine
@@ -104,17 +105,11 @@ int main(int argc, char** argv) try {
   const double preprocess_s = build_watch.seconds();
 
   build_watch.reset();
-  FlatSchemeOptions eopt;
-  eopt.lookup = FlatLookup::kEytzinger;
-  const FlatScheme flat_eytz(scheme, eopt);
-  FlatSchemeOptions fopt;
-  fopt.lookup = FlatLookup::kFKS;
-  const FlatScheme flat_fks(scheme, fopt);
+  const FlatScheme flat(scheme);
   const double compile_s = build_watch.seconds();
 
   const TZRouter router(scheme);
-  const FlatRouter router_eytz(flat_eytz);
-  const FlatRouter router_fks(flat_fks);
+  const FlatRouter router_flat(flat);
 
   Rng prng(seed + 2);
   const std::vector<PairSample> pairs = sample_pairs(g, num_pairs, prng);
@@ -129,20 +124,14 @@ int main(int argc, char** argv) try {
                             scheme.table(pairs[0].t)
                                 .own_label(*scheme.lookup(pairs[0].t,
                                                           top_root))};
-  const FlatHeader top_eytz = [&] {
-    FlatHeader h = router_eytz.prepare(pairs[0].s, pairs[0].t);
-    const std::uint32_t idx = flat_eytz.find(pairs[0].t, top_root);
+  const FlatHeader top_flat = [&] {
+    FlatHeader h = router_flat.prepare(pairs[0].s, pairs[0].t);
+    const std::uint32_t idx = flat.find(pairs[0].t, top_root);
     h.tree_root = top_root;
-    h.dfs_in = flat_eytz.own_dfs(idx);
-    h.light = flat_eytz.own_light_ports(idx).data();
+    h.dfs_in = flat.own_dfs(idx);
+    h.light = flat.own_light_ports(idx).data();
     h.light_len =
-        static_cast<std::uint32_t>(flat_eytz.own_light_ports(idx).size());
-    return h;
-  }();
-  const FlatHeader top_fks = [&] {
-    FlatHeader h = top_eytz;
-    const std::uint32_t idx = flat_fks.find(pairs[0].t, top_root);
-    h.light = flat_fks.own_light_ports(idx).data();
+        static_cast<std::uint32_t>(flat.own_light_ports(idx).size());
     return h;
   }();
 
@@ -174,12 +163,7 @@ int main(int argc, char** argv) try {
   }));
   run("prepare/flat-eytzinger", measure_ns(iters, [&](std::uint64_t i) {
     const PairSample& p = pair_at(i);
-    const FlatHeader h = router_eytz.prepare(p.s, p.t);
-    return std::uint64_t{h.tree_root} + h.dfs_in;
-  }));
-  const double prep_fks = run("prepare/flat-fks", measure_ns(iters, [&](std::uint64_t i) {
-    const PairSample& p = pair_at(i);
-    const FlatHeader h = router_fks.prepare(p.s, p.t);
+    const FlatHeader h = router_flat.prepare(p.s, p.t);
     return std::uint64_t{h.tree_root} + h.dfs_in;
   }));
 
@@ -189,9 +173,9 @@ int main(int argc, char** argv) try {
     const TZHeader h = router.prepare_handshake(p.s, p.t);
     return std::uint64_t{h.tree_root} + h.tree_label.dfs_in;
   }));
-  run("handshake/flat-fks", measure_ns(iters, [&](std::uint64_t i) {
+  run("handshake/flat-eytzinger", measure_ns(iters, [&](std::uint64_t i) {
     const PairSample& p = pair_at(i);
-    const FlatHeader h = router_fks.prepare_handshake(p.s, p.t);
+    const FlatHeader h = router_flat.prepare_handshake(p.s, p.t);
     return std::uint64_t{h.tree_root} + h.dfs_in;
   }));
 
@@ -203,12 +187,7 @@ int main(int argc, char** argv) try {
   }));
   run("step/flat-eytzinger", measure_ns(iters, [&](std::uint64_t i) {
     const VertexId v = pair_at(i).s;
-    const TreeDecision d = router_eytz.step(v, top_eytz);
-    return std::uint64_t{d.port} + d.deliver;
-  }));
-  const double step_fks = run("step/flat-fks", measure_ns(iters, [&](std::uint64_t i) {
-    const VertexId v = pair_at(i).s;
-    const TreeDecision d = router_fks.step(v, top_fks);
+    const TreeDecision d = router_flat.step(v, top_flat);
     return std::uint64_t{d.port} + d.deliver;
   }));
 
@@ -222,16 +201,10 @@ int main(int argc, char** argv) try {
   const double dec_eytz =
       run("decision/flat-eytzinger", measure_ns(iters, [&](std::uint64_t i) {
         const PairSample& p = pair_at(i);
-        const FlatHeader h = router_eytz.prepare(p.s, p.t);
-        const TreeDecision d = router_eytz.step(p.s, h);
+        const FlatHeader h = router_flat.prepare(p.s, p.t);
+        const TreeDecision d = router_flat.step(p.s, h);
         return std::uint64_t{h.tree_root} + d.port;
       }));
-  const double dec_fks = run("decision/flat-fks", measure_ns(iters, [&](std::uint64_t i) {
-    const PairSample& p = pair_at(i);
-    const FlatHeader h = router_fks.prepare(p.s, p.t);
-    const TreeDecision d = router_fks.step(p.s, h);
-    return std::uint64_t{h.tree_root} + d.port;
-  }));
 
   // --- the serving op: prepare + the full per-hop walk to delivery,
   // scalar vs batch-pipelined. Per-hop decisions are load-dependent
@@ -269,8 +242,7 @@ int main(int argc, char** argv) try {
     g_sink = g_sink + sink;
     return ns;
   };
-  const auto measure_route_batched = [&](const FlatScheme& flat,
-                                         std::uint32_t group) {
+  const auto measure_route_batched = [&](std::uint32_t group) {
     FlatBatchTarget target;
     target.graph = &g;
     target.kind = FlatServeKind::kTZDirect;
@@ -298,15 +270,9 @@ int main(int argc, char** argv) try {
     return ns;
   };
   const double route_eytz =
-      run("route/flat-eytzinger", measure_route_scalar(router_eytz));
-  const double route_eytz_batched = run(
-      "route/flat-eytzinger-batched", measure_route_batched(flat_eytz,
-                                                            batch_group));
-  const double route_fks =
-      run("route/flat-fks", measure_route_scalar(router_fks));
-  const double route_fks_batched =
-      run("route/flat-fks-batched", measure_route_batched(flat_fks,
-                                                          batch_group));
+      run("route/flat-eytzinger", measure_route_scalar(router_flat));
+  const double route_eytz_batched =
+      run("route/flat-eytzinger-batched", measure_route_batched(batch_group));
 
   // --- G × ISA sweep: the batched route on every SIMD implementation
   // this binary+CPU supports, at each lane-group size. One row per
@@ -318,28 +284,25 @@ int main(int argc, char** argv) try {
   const simd::Isa initial_isa = simd::selected();
   std::string best_isa;
   std::uint32_t best_group = 0;
-  double best_eytz_ns = 0, best_fks_ns = 0;
+  double best_eytz_ns = 0;
   for (const simd::Isa isa : simd::compiled()) {
     if (!simd::available(isa)) continue;
     simd::force(isa);
     for (const std::uint32_t grp : {16u, 32u, 64u}) {
-      const double eytz_ns = measure_route_batched(flat_eytz, grp);
-      const double fks_ns = measure_route_batched(flat_fks, grp);
+      const double eytz_ns = measure_route_batched(grp);
       char name[64];
       std::snprintf(name, sizeof name, "route/batched-%s-G%u",
                     simd::isa_name(isa), grp);
-      std::printf("%-28s %12.1f  (fks %.1f)\n", name, eytz_ns, fks_ns);
+      std::printf("%-28s %12.1f\n", name, eytz_ns);
       report.add_row("simd_sweep")
           .set("isa", std::string(simd::isa_name(isa)))
           .set("batch_group", std::uint64_t{grp})
           .set("eytzinger_route_ns", eytz_ns)
-          .set("eytzinger_route_decision_ns", eytz_ns * per_dec_sweep)
-          .set("fks_route_ns", fks_ns);
+          .set("eytzinger_route_decision_ns", eytz_ns * per_dec_sweep);
       if (best_group == 0 || eytz_ns < best_eytz_ns) {
         best_isa = simd::isa_name(isa);
         best_group = grp;
         best_eytz_ns = eytz_ns;
-        best_fks_ns = fks_ns;
       }
     }
   }
@@ -348,8 +311,7 @@ int main(int argc, char** argv) try {
       .set("sweep_best_batch_group", std::uint64_t{best_group})
       .set("sweep_best_eytzinger_route_ns", best_eytz_ns)
       .set("sweep_best_eytzinger_route_decision_ns",
-           best_eytz_ns * per_dec_sweep)
-      .set("sweep_best_fks_route_ns", best_fks_ns);
+           best_eytz_ns * per_dec_sweep);
 
   // --- baselines (preprocessing too heavy beyond a few thousand) ----------
   if (n <= 4096) {
@@ -374,46 +336,31 @@ int main(int argc, char** argv) try {
     }));
   }
 
-  const double speedup = dec_fks > 0 ? dec_legacy / dec_fks : 0;
   const double speedup_eytz = dec_eytz > 0 ? dec_legacy / dec_eytz : 0;
   const double batched_speedup_eytz =
       route_eytz_batched > 0 ? route_eytz / route_eytz_batched : 0;
-  const double batched_speedup_fks =
-      route_fks_batched > 0 ? route_fks / route_fks_batched : 0;
   const double per_dec =
       route_decisions > 0 ? 1.0 / route_decisions : 0;
   std::printf("----------------------------------------------\n");
-  std::printf("legacy decision %.1f ns, flat %.1f ns (fks) / %.1f ns "
-              "(eytzinger): %.2fx / %.2fx\n",
-              dec_legacy, dec_fks, dec_eytz, speedup, speedup_eytz);
-  std::printf("route (%.1f decisions/query), batched G=%u: eytzinger "
-              "%.1f -> %.1f ns/query (%.2fx, %.1f -> %.1f ns/decision), "
-              "fks %.1f -> %.1f (%.2fx)\n",
+  std::printf("legacy decision %.1f ns, flat %.1f ns: %.2fx\n", dec_legacy,
+              dec_eytz, speedup_eytz);
+  std::printf("route (%.1f decisions/query), batched G=%u: "
+              "%.1f -> %.1f ns/query (%.2fx, %.1f -> %.1f ns/decision)\n",
               route_decisions, batch_group, route_eytz, route_eytz_batched,
               batched_speedup_eytz, route_eytz * per_dec,
-              route_eytz_batched * per_dec, route_fks, route_fks_batched,
-              batched_speedup_fks);
+              route_eytz_batched * per_dec);
   report.set("legacy_decision_ns", dec_legacy)
-      .set("flat_decision_ns", dec_fks)
       .set("flat_eytzinger_decision_ns", dec_eytz)
-      .set("flat_route_ns", route_fks)
       .set("flat_eytzinger_route_ns", route_eytz)
-      .set("flat_batched_route_ns", route_fks_batched)
       .set("flat_batched_eytzinger_route_ns", route_eytz_batched)
       .set("route_decisions_per_query", route_decisions)
-      .set("flat_route_decision_ns", route_fks * per_dec)
       .set("flat_eytzinger_route_decision_ns", route_eytz * per_dec)
-      .set("flat_batched_route_decision_ns", route_fks_batched * per_dec)
       .set("flat_batched_eytzinger_route_decision_ns",
            route_eytz_batched * per_dec)
-      .set("flat_speedup", speedup)
       .set("flat_speedup_eytzinger", speedup_eytz)
-      .set("batched_speedup", batched_speedup_fks)
       .set("batched_speedup_eytzinger", batched_speedup_eytz)
       .set("legacy_prepare_ns", prep_legacy)
-      .set("flat_prepare_ns", prep_fks)
-      .set("legacy_step_ns", step_legacy)
-      .set("flat_step_ns", step_fks);
+      .set("legacy_step_ns", step_legacy);
   if (!json_path.empty()) {
     report.write(json_path);
     std::printf("wrote %s\n", json_path.c_str());

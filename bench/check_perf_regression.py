@@ -30,15 +30,12 @@ Usage:
 import json
 import sys
 
-# Every flat serving variant the micro trajectory tracks: scalar
-# decisions in both lookup layouts, and the route-level scalar vs
-# batch-pipelined numbers the batched engine is judged by.
+# Every flat serving variant the micro trajectory tracks: the scalar
+# decision, and the route-level scalar vs batch-pipelined numbers the
+# batched engine is judged by (one lookup layout, Eytzinger).
 GATED_MICRO_KEYS = [
-    "flat_decision_ns",
     "flat_eytzinger_decision_ns",
-    "flat_route_ns",
     "flat_eytzinger_route_ns",
-    "flat_batched_route_ns",
     "flat_batched_eytzinger_route_ns",
 ]
 

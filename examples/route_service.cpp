@@ -17,7 +17,7 @@
 ///
 /// Shared flags (parsed by service/cli.hpp, used by every serving
 /// binary): --graph | --family --n [--weighted]  --scheme --k --sampling
-/// --seed --threads --lookup --batch-group --warm --artifact-dir
+/// --seed --threads --batch-group --warm --artifact-dir
 /// --artifact-retain --rebuild-retries [--no-metrics] --workload
 /// --queries --batch --source-pool [--exact]
 ///
@@ -32,7 +32,7 @@
 /// --port=P (listen port; 0 = ephemeral, printed) --net-coalesce=N
 /// --net-max-pending=N --net-max-connections=N (front-end admission
 /// control; see net/server.hpp)
-/// env CROUTE_SIMD=generic|sse42|avx2|neon forces the SIMD batch kernels
+/// env CROUTE_SIMD=generic|avx2|neon forces the SIMD batch kernels
 
 #include <csignal>
 #include <cstdio>
@@ -102,10 +102,8 @@ int main(int argc, char** argv) {
     std::printf("graph: n=%u m=%llu\n", g.num_vertices(),
                 static_cast<unsigned long long>(g.num_edges()));
     RouteService service(g, opt);
-    std::printf("service: scheme=%s threads=%u lookup=%s batch-group=%u "
-                "simd=%s%s\n",
-                scheme_name(opt.scheme), service.threads(),
-                flat_lookup_name(opt.flat_lookup), opt.batch_group,
+    std::printf("service: scheme=%s threads=%u batch-group=%u simd=%s%s\n",
+                scheme_name(opt.scheme), service.threads(), opt.batch_group,
                 simd::ops().name,
                 opt.warm_start_path.empty()
                     ? ""

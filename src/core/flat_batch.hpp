@@ -21,14 +21,14 @@
 /// to G misses are in flight instead of one. Answers are byte-identical
 /// to the scalar FlatRouter/FlatCowen/FlatFullTable path — the stages
 /// reorder only *when* a line is fetched, never what is computed
-/// (tests/test_flat_scheme.cpp proves equality over every scheme kind,
-/// lookup layout and group size, ragged tails and self-queries included).
+/// (tests/test_flat_scheme.cpp proves equality over every scheme kind
+/// and group size, ragged tails and self-queries included).
 ///
 /// Stage map per hop of the Thorup–Zwick walk at vertex v:
 ///   kStepMeta    read CSR offsets (prefetched on arrival), prefetch the
-///                key slice's lines / the FKS slot;
-///   kStepProbe   branch-free descent or slot compare → pool index,
-///                prefetch the node record;
+///                key slice's lines;
+///   kStepProbe   branch-free Eytzinger descent → pool index, prefetch
+///                the node record;
 ///   kStepDecide  O(1) tree decision over the record, prefetch the arc;
 ///   kStepAdvance traverse the arc, prefetch the next vertex's offsets.
 /// Prepare (rule-0 directory probe + label pivot scan), the handshake's
@@ -39,9 +39,9 @@
 /// the live lanes' probes into SoA scratch arrays and resolves them in
 /// one lane-parallel kernel call — the Eytzinger compare-and-step runs
 /// across 8 lanes per AVX2 register (masked gathers keep retired lanes
-/// off memory), the FKS slot check gathers 4 slot keys at once, and the
-/// generic implementation is the exact scalar loop, so answers stay
-/// byte-identical on every ISA (tests/test_simd.cpp pins the matrix).
+/// off memory), and the generic implementation is the exact scalar loop,
+/// so answers stay byte-identical on every ISA (tests/test_simd.cpp pins
+/// the matrix).
 ///
 /// Scheduling is *lockstep*: queries run in generations of G lanes, and
 /// each pipeline stage is one tight loop over the live lanes (compact

@@ -14,7 +14,6 @@ namespace croute {
 namespace {
 
 using flat_detail::eytzinger_find;
-using flat_detail::pack_key;
 
 /// Fills perm[eytzinger_pos] = sorted_pos for a slice of \p len keys.
 /// Standard in-order construction over the implicit heap (1-based \p k).
@@ -52,20 +51,11 @@ double ms_between(std::chrono::steady_clock::time_point a,
 
 }  // namespace
 
-const char* flat_lookup_name(FlatLookup lookup) noexcept {
-  switch (lookup) {
-    case FlatLookup::kEytzinger: return "eytzinger";
-    case FlatLookup::kFKS: return "fks";
-  }
-  return "?";
-}
-
 CROUTE_DETERMINISTIC FlatScheme::FlatScheme(const TZScheme& scheme,
                                             const FlatSchemeOptions& options)
-    : base_(&scheme), options_(options) {
+    : base_(&scheme) {
   using clock = std::chrono::steady_clock;
-  ThreadPool* pool = options.pool;
-  options_.pool = nullptr;  // borrowed for this call only: never kept
+  ThreadPool* pool = options.pool;  // borrowed for this call only
   stats_.threads = pool_workers(pool);
 
   const auto t0 = clock::now();
@@ -75,8 +65,6 @@ CROUTE_DETERMINISTIC FlatScheme::FlatScheme(const TZScheme& scheme,
   const auto t2 = clock::now();
   compile_labels(pool);
   const auto t3 = clock::now();
-  compile_hashes(pool);
-  const auto t4 = clock::now();
 
   // Precompute wire sizes: tree root id + dfs + gamma-coded light count +
   // the light ports themselves (the exact layout TZRouter::header_bits
@@ -105,7 +93,6 @@ CROUTE_DETERMINISTIC FlatScheme::FlatScheme(const TZScheme& scheme,
   stats_.tables_ms = ms_between(t0, t1);
   stats_.directories_ms = ms_between(t1, t2);
   stats_.labels_ms = ms_between(t2, t3);
-  stats_.hash_ms = ms_between(t3, t4);
   stats_.pool_bytes = pool_bytes();
   stats_.total_ms = ms_between(t0, clock::now());
 }
@@ -139,17 +126,12 @@ void FlatScheme::compile_tables(ThreadPool* pool) {
   tbl_own_light_len_.resize(total);
   tbl_light_pool_.resize(light_base[n]);
 
-  const bool eytz = options_.lookup == FlatLookup::kEytzinger;
   for_vertices(pool, n, [&](VertexId v, std::vector<std::uint32_t>& perm) {
     const VertexTable& table = base_->table(v);
     const std::span<const TableEntry> entries = table.entries();  // sorted
     const auto len = static_cast<std::uint32_t>(entries.size());
     perm.resize(len);
-    if (eytz) {
-      fill_eytzinger(perm, len, 1, 0);
-    } else {
-      for (std::uint32_t p = 0; p < len; ++p) perm[p] = p;
-    }
+    fill_eytzinger(perm, len, 1, 0);
     std::uint32_t light_off = light_base[v];
     for (std::uint32_t p = 0; p < len; ++p) {
       const TableEntry& e = entries[perm[p]];
@@ -193,17 +175,12 @@ void FlatScheme::compile_directories(ThreadPool* pool) {
   dir_light_len_.resize(total);
   dir_light_pool_.resize(light_base[n]);
 
-  const bool eytz = options_.lookup == FlatLookup::kEytzinger;
   for_vertices(pool, n, [&](VertexId v, std::vector<std::uint32_t>& perm) {
     const ClusterDirectory& dir = base_->directory(v);
     const std::span<const VertexId> members = dir.members();  // sorted
     const auto len = static_cast<std::uint32_t>(members.size());
     perm.resize(len);
-    if (eytz) {
-      fill_eytzinger(perm, len, 1, 0);
-    } else {
-      for (std::uint32_t p = 0; p < len; ++p) perm[p] = p;
-    }
+    fill_eytzinger(perm, len, 1, 0);
     std::uint32_t light_off = light_base[v];
     for (std::uint32_t p = 0; p < len; ++p) {
       const std::uint32_t src = perm[p];
@@ -259,50 +236,8 @@ void FlatScheme::compile_labels(ThreadPool* pool) {
   });
 }
 
-void FlatScheme::compile_hashes(ThreadPool* pool) {
-  if (options_.lookup != FlatLookup::kFKS) return;
-  const VertexId n = graph().num_vertices();
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> tbl_kv;
-  tbl_kv.reserve(tbl_off_[n]);
-  for (VertexId v = 0; v < n; ++v) {
-    for (std::uint32_t idx = tbl_off_[v]; idx < tbl_off_[v + 1]; ++idx) {
-      tbl_kv.emplace_back(pack_key(v, tbl_key_[idx]), idx);
-    }
-  }
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> dir_kv;
-  dir_kv.reserve(dir_off_[n]);
-  for (VertexId v = 0; v < n; ++v) {
-    for (std::uint32_t idx = dir_off_[v]; idx < dir_off_[v + 1]; ++idx) {
-      dir_kv.emplace_back(pack_key(v, dir_key_[idx]), idx);
-    }
-  }
-
-  // Independent seed streams: the table index's retries must not shift
-  // the directory index's draws (retry-deterministic compilation — and
-  // the two builds can run concurrently).
-  Rng tbl_rng(mix64(options_.hash_seed ^ 0x7ab1e0f15eedULL));
-  Rng dir_rng(mix64(options_.hash_seed ^ 0xd1c709e55eedULL));
-  PerfectHashMap::BuildStats tbl_stats, dir_stats;
-  auto build_one = [&](std::uint64_t which) {
-    if (which == 0) {
-      tbl_hash_ = PerfectHashMap::build(tbl_kv, tbl_rng, &tbl_stats);
-    } else {
-      dir_hash_ = PerfectHashMap::build(dir_kv, dir_rng, &dir_stats);
-    }
-  };
-  for_each_index(pool, 2,
-                 [&](std::uint64_t which, unsigned) { build_one(which); });
-  stats_.fks_top_retries = tbl_stats.top_retries + dir_stats.top_retries;
-  stats_.fks_bucket_retries =
-      tbl_stats.bucket_retries + dir_stats.bucket_retries;
-}
-
 CROUTE_HOT std::uint32_t FlatScheme::find(VertexId v,
                                           VertexId w) const noexcept {
-  if (tbl_hash_) {
-    const auto idx = tbl_hash_->find(pack_key(v, w));
-    return idx ? *idx : kNotFound;
-  }
   const std::uint32_t off = tbl_off_[v];
   const std::uint32_t len = tbl_off_[v + 1] - off;
   const std::uint32_t pos = eytzinger_find(tbl_key_.data() + off, len, w);
@@ -311,10 +246,6 @@ CROUTE_HOT std::uint32_t FlatScheme::find(VertexId v,
 
 CROUTE_HOT std::uint32_t FlatScheme::dir_find(VertexId v,
                                               VertexId t) const noexcept {
-  if (dir_hash_) {
-    const auto idx = dir_hash_->find(pack_key(v, t));
-    return idx ? *idx : kNotFound;
-  }
   const std::uint32_t off = dir_off_[v];
   const std::uint32_t len = dir_off_[v + 1] - off;
   const std::uint32_t pos = eytzinger_find(dir_key_.data() + off, len, t);
@@ -325,18 +256,13 @@ std::uint64_t FlatScheme::pool_bytes() const noexcept {
   auto bytes = [](const auto& vec) {
     return vec.size() * sizeof(typename std::decay_t<decltype(vec)>::value_type);
   };
-  std::uint64_t total = bytes(tbl_off_) + bytes(tbl_key_) + bytes(tbl_record_) +
-                        bytes(tbl_dist_) + bytes(tbl_level_) +
-                        bytes(tbl_own_dfs_) + bytes(tbl_own_light_off_) +
-                        bytes(tbl_own_light_len_) + bytes(tbl_light_pool_) +
-                        bytes(dir_off_) + bytes(dir_key_) + bytes(dir_dfs_) +
-                        bytes(dir_light_off_) + bytes(dir_light_len_) +
-                        bytes(dir_light_pool_) + bytes(lab_off_) +
-                        bytes(lab_entries_) + bytes(lab_light_pool_) +
-                        bytes(bits_by_len_);
-  if (tbl_hash_) total += tbl_hash_->overhead_bits() / 8;
-  if (dir_hash_) total += dir_hash_->overhead_bits() / 8;
-  return total;
+  return bytes(tbl_off_) + bytes(tbl_key_) + bytes(tbl_record_) +
+         bytes(tbl_dist_) + bytes(tbl_level_) + bytes(tbl_own_dfs_) +
+         bytes(tbl_own_light_off_) + bytes(tbl_own_light_len_) +
+         bytes(tbl_light_pool_) + bytes(dir_off_) + bytes(dir_key_) +
+         bytes(dir_dfs_) + bytes(dir_light_off_) + bytes(dir_light_len_) +
+         bytes(dir_light_pool_) + bytes(lab_off_) + bytes(lab_entries_) +
+         bytes(lab_light_pool_) + bytes(bits_by_len_);
 }
 
 CROUTE_HOT FlatHeader FlatRouter::prepare(VertexId s, VertexId t,

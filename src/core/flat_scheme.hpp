@@ -20,17 +20,15 @@
 ///  - **labels**: every destination's entries in one pool; tree labels are
 ///    (dfs, slice-into-port-pool) views — nothing owns memory per entry.
 ///
-/// Two lookup layouts sit behind the same `find` contract:
-///
-///  - **kEytzinger**: per-vertex keys permuted into the Eytzinger
-///    (BFS-of-a-binary-tree) order, searched by the branch-free descent
-///    `i = 2i + (key[i] < w)`. Same O(log |B(v)|) probe count as
-///    `std::lower_bound`, but the first few probes share cache lines and
-///    the loop has no unpredictable branches;
-///  - **kFKS** (default): one *global* FKS perfect-hash table keyed by the
-///    packed pair (v, w) — the paper's "2-level hash table" giving O(1)
-///    worst-case decisions, flattened across vertices so a probe is two
-///    multiply-shift hashes plus one contiguous-array compare.
+/// One lookup layout sits behind `find` / `dir_find`: each vertex's key
+/// slice is permuted into the Eytzinger (BFS-of-a-binary-tree) order and
+/// searched by the branch-free descent `i = 2i + (key[i] < w)`. Same
+/// O(log |B(v)|) probe count as `std::lower_bound`, but the first few
+/// probes share cache lines and the loop has no unpredictable branches.
+/// The paper's O(1) two-level (FKS) hash tables stay in the reference
+/// TZScheme (`TZSchemeOptions::hash_index`, hash/perfect_hash.hpp); on
+/// the serving path a global FKS index lost to this layout on every
+/// measured metric — slower walks, larger pools, slower compiles.
 ///
 /// FlatRouter mirrors TZRouter::prepare / prepare_handshake / step over
 /// the flat view with **zero heap allocation per query**: headers carry a
@@ -42,10 +40,8 @@
 /// Compilation parallelizes over an optional ThreadPool (per-vertex table,
 /// directory and label slices are disjoint once the CSR offsets are prefix-
 /// summed, so the fill passes shard by vertex and the result is
-/// byte-identical at every thread count). The two FKS indexes draw from
-/// *independently derived* seeds — a retry in the table hash can no longer
-/// shift the directory hash's stream — and `compile_stats()` reports where
-/// the compile time went (rebuild telemetry surfaces it per swap).
+/// byte-identical at every thread count), and `compile_stats()` reports
+/// where the compile time went (rebuild telemetry surfaces it per swap).
 ///
 /// The pooled-SoA story extends to the baselines: `FlatCowen` and
 /// `FlatFullTable` compile Cowen / full-table preprocessing into the same
@@ -60,13 +56,11 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "core/tz_router.hpp"
 #include "core/tz_scheme.hpp"
-#include "hash/perfect_hash.hpp"
 #include "simd/simd.hpp"
 #include "util/annotations.hpp"
 #include "util/prefetch.hpp"
@@ -78,11 +72,6 @@ class CowenScheme;
 class FullTableScheme;
 
 namespace flat_detail {
-
-/// Packs a (vertex, key) pair into one 64-bit FKS key.
-CROUTE_HOT inline std::uint64_t pack_key(VertexId v, VertexId w) noexcept {
-  return (std::uint64_t{v} << 32) | w;
-}
 
 /// Branch-free Eytzinger lower-bound probe over one slice. Returns the
 /// 0-based slice position of the key equal to \p x, or len (miss).
@@ -109,25 +98,11 @@ CROUTE_HOT inline void prefetch_span(const void* p,
 
 }  // namespace flat_detail
 
-/// Which index sits behind FlatScheme::find / dir_find.
-enum class FlatLookup {
-  kEytzinger,  ///< branch-optimized in-place binary search
-  kFKS,        ///< global two-level perfect hash, O(1) worst case
-};
-
-const char* flat_lookup_name(FlatLookup lookup) noexcept;
-
 /// Compilation options.
 struct FlatSchemeOptions {
-  FlatLookup lookup = FlatLookup::kFKS;
-  /// Seed for the FKS hash draws (compilation is deterministic in it;
-  /// the table and directory indexes derive independent streams from it,
-  /// so one index's retries never reseed the other).
-  std::uint64_t hash_seed = 0x9e3779b97f4a7c15ULL;
   /// Optional pool to shard the compile passes over (borrowed for the
-  /// constructor call only and not kept: the compiled scheme's copy of
-  /// these options holds nullptr; nullptr = serial). The compiled bytes
-  /// are identical at every pool size.
+  /// constructor call only and not kept; nullptr = serial). The compiled
+  /// bytes are identical at every pool size.
   ThreadPool* pool = nullptr;
 };
 
@@ -136,10 +111,7 @@ struct FlatCompileStats {
   double tables_ms = 0;       ///< bunch-table pools (offsets + fill)
   double directories_ms = 0;  ///< rule-0 directory pools
   double labels_ms = 0;       ///< destination label pools
-  double hash_ms = 0;         ///< FKS index builds (0 for Eytzinger)
   double total_ms = 0;
-  std::uint64_t fks_top_retries = 0;     ///< level-1 redraws, both indexes
-  std::uint64_t fks_bucket_retries = 0;  ///< level-2 redraws, both indexes
   std::uint64_t pool_bytes = 0;
   unsigned threads = 1;  ///< compile workers used
 };
@@ -175,97 +147,54 @@ class FlatScheme {
   };
 
   /// Compiles the flat view (deterministic: the pooled bytes are a pure
-  /// function of the scheme, the options and the seed — at every pool
-  /// size).
+  /// function of the scheme — at every pool size).
   CROUTE_DETERMINISTIC explicit FlatScheme(
       const TZScheme& scheme, const FlatSchemeOptions& options = {});
 
   CROUTE_HOT const TZScheme& base() const noexcept { return *base_; }
   const Graph& graph() const noexcept { return base_->graph(); }
   CROUTE_HOT std::uint32_t k() const noexcept { return base_->k(); }
-  FlatLookup lookup_kind() const noexcept { return options_.lookup; }
 
   /// --- bunch lookups ------------------------------------------------------
   /// Pool index of v's entry for tree root w, or kNotFound. This is the
-  /// per-hop operation: Eytzinger descent or one perfect-hash probe.
+  /// per-hop operation: one Eytzinger descent over v's key slice.
   CROUTE_HOT std::uint32_t find(VertexId v, VertexId w) const noexcept;
 
   /// --- staged probes (software-pipelined batch engine) --------------------
   /// One find split into three rounds so a caller can keep G probes in
   /// flight and hide each round's cache miss behind the other lanes'
   /// compute (core/flat_batch.hpp):
-  ///   stage0 — issue prefetches for the index metadata (CSR offset entry
-  ///            in Eytzinger mode, FKS bucket parameters); no loads;
-  ///   stage1 — read the metadata, prefetch the key memory (the key
-  ///            slice's cache lines / the hash slot);
-  ///   stage2 — resolve: branch-free descent or one slot compare.
+  ///   stage0 — prefetch the CSR offset entry; no loads;
+  ///   stage1 — read the offsets, prefetch the key slice's cache lines;
+  ///   stage2 — resolve: the branch-free descent.
   /// stage2 returns exactly find(v, w) / dir_find(v, t); the stages only
   /// move the dependent misses off the critical path.
   struct FindProbe {
     VertexId v = kNoVertex;
     VertexId w = kNoVertex;
-    std::uint32_t off = 0;   ///< Eytzinger: slice offset
-    std::uint32_t len = 0;   ///< Eytzinger: slice length
-    std::uint64_t slot = 0;  ///< FKS: resolved slot (or kNoSlot)
+    std::uint32_t off = 0;  ///< slice offset (set by stage1)
+    std::uint32_t len = 0;  ///< slice length (set by stage1)
   };
 
   CROUTE_HOT void find_stage0(FindProbe& p) const noexcept {
-    if (tbl_hash_) {
-      tbl_hash_->prefetch_bucket(flat_detail::pack_key(p.v, p.w));
-    } else {
-      CROUTE_PREFETCH(&tbl_off_[p.v]);
-    }
+    CROUTE_PREFETCH(&tbl_off_[p.v]);
   }
   CROUTE_HOT void find_stage1(FindProbe& p) const noexcept {
-    if (tbl_hash_) {
-      p.slot = tbl_hash_->locate_slot(flat_detail::pack_key(p.v, p.w));
-      tbl_hash_->prefetch_slot(p.slot);
-    } else {
-      p.off = tbl_off_[p.v];
-      p.len = tbl_off_[p.v + 1] - p.off;
-      flat_detail::prefetch_span(tbl_key_.data() + p.off,
-                                 p.len * sizeof(VertexId));
-    }
+    load_slice(tbl_off_, tbl_key_, p);
   }
   CROUTE_HOT std::uint32_t find_stage2(const FindProbe& p) const noexcept {
-    if (tbl_hash_) {
-      const auto idx = tbl_hash_->value_at(
-          p.slot, flat_detail::pack_key(p.v, p.w));
-      return idx ? *idx : kNotFound;
-    }
-    const std::uint32_t pos =
-        flat_detail::eytzinger_find(tbl_key_.data() + p.off, p.len, p.w);
-    return pos == p.len ? kNotFound : p.off + pos;
+    return resolve(tbl_key_, p);
   }
 
   CROUTE_HOT void dir_find_stage0(FindProbe& p) const noexcept {
-    if (dir_hash_) {
-      dir_hash_->prefetch_bucket(flat_detail::pack_key(p.v, p.w));
-    } else {
-      CROUTE_PREFETCH(&dir_off_[p.v]);
-    }
+    CROUTE_PREFETCH(&dir_off_[p.v]);
   }
   CROUTE_HOT void dir_find_stage1(FindProbe& p) const noexcept {
-    if (dir_hash_) {
-      p.slot = dir_hash_->locate_slot(flat_detail::pack_key(p.v, p.w));
-      dir_hash_->prefetch_slot(p.slot);
-    } else {
-      p.off = dir_off_[p.v];
-      p.len = dir_off_[p.v + 1] - p.off;
-      flat_detail::prefetch_span(dir_key_.data() + p.off,
-                                 p.len * sizeof(VertexId));
-    }
+    load_slice(dir_off_, dir_key_, p);
   }
   CROUTE_HOT std::uint32_t dir_find_stage2(
       const FindProbe& p) const noexcept {
-    if (dir_hash_) {
-      const auto idx = dir_hash_->value_at(
-          p.slot, flat_detail::pack_key(p.v, p.w));
-      return idx ? *idx : kNotFound;
-    }
-    const std::uint32_t pos =
-        flat_detail::eytzinger_find(dir_key_.data() + p.off, p.len, p.w);
-    return pos == p.len ? kNotFound : p.off + pos;
+    return resolve(dir_key_, p);
   }
 
   /// --- batched stage2 (SIMD kernels, src/simd/) ---------------------------
@@ -277,7 +206,6 @@ class FlatScheme {
   /// generations (no allocation once warm).
   struct FindBatchScratch {
     std::vector<std::uint32_t> offs, lens, xs, out;
-    std::vector<std::uint64_t> slots, want;
     std::uint32_t count = 0;
 
     CROUTE_HOT void clear() noexcept { count = 0; }
@@ -287,18 +215,10 @@ class FlatScheme {
       lens.resize(n);
       xs.resize(n);
       out.resize(n);
-      slots.resize(n);
-      want.resize(n);
     }
-    /// Pushes one staged probe (all index fields, unconditionally — the
-    /// resolving side reads the ones its lookup layout uses).
+    /// Pushes one staged probe (after its stage1).
     CROUTE_HOT void push(const FindProbe& p) noexcept {
-      offs[count] = p.off;
-      lens[count] = p.len;
-      xs[count] = p.w;
-      slots[count] = p.slot;
-      want[count] = flat_detail::pack_key(p.v, p.w);
-      ++count;
+      push_slice(p.off, p.len, p.w);
     }
     /// Pushes one bare Eytzinger slice probe (FlatCowen's cluster scan).
     CROUTE_HOT void push_slice(std::uint32_t off, std::uint32_t len,
@@ -315,11 +235,22 @@ class FlatScheme {
   /// implementation (simd::ops() is re-read per call, so force() /
   /// CROUTE_SIMD take effect on the next batch).
   CROUTE_HOT void find_stage2_batch(FindBatchScratch& b) const noexcept {
-    resolve_batch(tbl_hash_, tbl_key_, b);
+    resolve_batch(tbl_key_.data(), b);
   }
   /// Batched dir_find_stage2 (rule-0 directory probes).
   CROUTE_HOT void dir_find_stage2_batch(FindBatchScratch& b) const noexcept {
-    resolve_batch(dir_hash_, dir_key_, b);
+    resolve_batch(dir_key_.data(), b);
+  }
+  /// The shared batched-stage2 body (FlatCowen's cluster probe too): one
+  /// kernel call over the probes pushed into \p b, each mapped to its
+  /// pool index in \p keys or kNotFound, as find_stage2 does per lane.
+  CROUTE_HOT static void resolve_batch(const VertexId* keys,
+                                       FindBatchScratch& b) noexcept {
+    simd::ops().eytzinger_batch(keys, b.offs.data(), b.lens.data(),
+                                b.xs.data(), b.out.data(), b.count);
+    for (std::uint32_t i = 0; i < b.count; ++i) {
+      b.out[i] = b.out[i] == b.lens[i] ? kNotFound : b.offs[i] + b.out[i];
+    }
   }
 
   /// Payload prefetches for resolved pool indices (next round's loads).
@@ -419,48 +350,37 @@ class FlatScheme {
  private:
   /// The persistence codec (src/persist/artifact.cpp) reconstructs a
   /// compiled view from its pooled bytes: default-construct, fill the
-  /// pools, rebind base_, rebuild the FKS indexes via compile_hashes
-  /// (derived state — same seeds, same bytes). Same friend-serializer
-  /// pattern as SchemeSerializer over TZScheme.
+  /// pools, rebind base_. Same friend-serializer pattern as
+  /// SchemeSerializer over TZScheme.
   friend class ArtifactCodec;
   FlatScheme() = default;
 
   void compile_tables(ThreadPool* pool);
   void compile_directories(ThreadPool* pool);
   void compile_labels(ThreadPool* pool);
-  void compile_hashes(ThreadPool* pool);
 
-  /// The shared batched-stage2 body behind find_stage2_batch /
-  /// dir_find_stage2_batch: one kernel call over the compacted probes,
-  /// then the same miss/offset mapping find_stage2 applies per lane.
-  CROUTE_HOT void resolve_batch(const std::optional<PerfectHashMap>& hash,
-                                const std::vector<VertexId>& keys,
-                                FindBatchScratch& b) const noexcept {
-    static_assert(simd::kNotFound == kNotFound,
-                  "kernel miss sentinel must feed the engine unchanged");
-    static_assert(simd::kNoSlot == PerfectHashMap::kNoSlot,
-                  "kernel slot sentinel must match the hash map's");
-    const simd::Ops& k = simd::ops();
-    if (hash) {
-      k.fks_value_batch(hash->slot_keys(), hash->slot_values(),
-                        b.slots.data(), b.want.data(), b.out.data(), b.count);
-      return;  // the kernel already yields kNotFound on a miss
-    }
-    k.eytzinger_batch(keys.data(), b.offs.data(), b.lens.data(), b.xs.data(),
-                      b.out.data(), b.count);
-    for (std::uint32_t i = 0; i < b.count; ++i) {
-      b.out[i] = b.out[i] == b.lens[i] ? kNotFound : b.offs[i] + b.out[i];
-    }
+  /// stage1 body shared by the bunch tables and the directories.
+  CROUTE_HOT static void load_slice(const std::vector<std::uint32_t>& offs,
+                                    const std::vector<VertexId>& keys,
+                                    FindProbe& p) noexcept {
+    p.off = offs[p.v];
+    p.len = offs[p.v + 1] - p.off;
+    flat_detail::prefetch_span(keys.data() + p.off, p.len * sizeof(VertexId));
+  }
+  /// stage2 body: the descent over a loaded slice, mapped to a pool index.
+  CROUTE_HOT static std::uint32_t resolve(const std::vector<VertexId>& keys,
+                                          const FindProbe& p) noexcept {
+    const std::uint32_t pos =
+        flat_detail::eytzinger_find(keys.data() + p.off, p.len, p.w);
+    return pos == p.len ? kNotFound : p.off + pos;
   }
 
   const TZScheme* base_ = nullptr;
-  FlatSchemeOptions options_;
   FlatCompileStats stats_;
 
-  // Tables: CSR over all vertices, keys separated from payloads. In
-  // Eytzinger mode every per-vertex slice of ALL arrays is stored in that
-  // vertex's Eytzinger permutation (one shared order, no indirection); in
-  // FKS mode slices stay sorted by key.
+  // Tables: CSR over all vertices, keys separated from payloads. Every
+  // per-vertex slice of ALL arrays is stored in that vertex's Eytzinger
+  // permutation (one shared order, no indirection).
   std::vector<std::uint32_t> tbl_off_;       ///< n+1
   std::vector<VertexId> tbl_key_;            ///< hot: tree roots
   std::vector<TreeNodeRecord> tbl_record_;   ///< cold payloads …
@@ -470,7 +390,6 @@ class FlatScheme {
   std::vector<std::uint32_t> tbl_own_light_off_;
   std::vector<std::uint32_t> tbl_own_light_len_;
   std::vector<Port> tbl_light_pool_;
-  std::optional<PerfectHashMap> tbl_hash_;   ///< FKS mode: (v,w) → index
 
   // Directories, pooled the same way (keys = member ids).
   std::vector<std::uint32_t> dir_off_;  ///< n+1
@@ -479,7 +398,6 @@ class FlatScheme {
   std::vector<std::uint32_t> dir_light_off_;
   std::vector<std::uint32_t> dir_light_len_;
   std::vector<Port> dir_light_pool_;
-  std::optional<PerfectHashMap> dir_hash_;  ///< FKS mode: (v,t) → index
 
   // Labels.
   std::vector<std::uint32_t> lab_off_;  ///< n+1
@@ -604,11 +522,7 @@ class FlatCowen {
   /// cluster probe is the same Eytzinger descent the TZ tables use).
   CROUTE_HOT void find_at_batch(
       FlatScheme::FindBatchScratch& b) const noexcept {
-    simd::ops().eytzinger_batch(cl_key_.data(), b.offs.data(), b.lens.data(),
-                                b.xs.data(), b.out.data(), b.count);
-    for (std::uint32_t i = 0; i < b.count; ++i) {
-      b.out[i] = b.out[i] == b.lens[i] ? kNotFound : b.offs[i] + b.out[i];
-    }
+    FlatScheme::resolve_batch(cl_key_.data(), b);
   }
   CROUTE_HOT void prefetch_cluster_port(std::uint32_t idx) const noexcept {
     CROUTE_PREFETCH(&cl_port_[idx]);

@@ -7,11 +7,10 @@ namespace croute {
 
 PerfectHashMap PerfectHashMap::build(
     const std::vector<std::pair<std::uint64_t, std::uint32_t>>& entries,
-    Rng& rng, BuildStats* stats) {
+    Rng& rng) {
   PerfectHashMap m;
   const std::uint64_t n = entries.size();
   m.size_ = n;
-  if (stats) *stats = BuildStats{};
   if (n == 0) return m;
 
   {
@@ -33,7 +32,6 @@ PerfectHashMap PerfectHashMap::build(
   for (int attempt = 0;; ++attempt) {
     CROUTE_ASSERT(attempt < kMaxTopRetries,
                   "FKS level-1 retries exhausted (bad randomness?)");
-    if (stats && attempt > 0) ++stats->top_retries;
     m.top_ = PairwiseHash::draw(buckets, rng);
     for (auto& b : bucket_members) b.clear();
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -67,7 +65,6 @@ PerfectHashMap PerfectHashMap::build(
     for (int attempt = 0;; ++attempt) {
       CROUTE_ASSERT(attempt < kMaxBucketRetries,
                     "FKS level-2 retries exhausted (duplicate keys?)");
-      if (stats && attempt > 0) ++stats->bucket_retries;
       const PairwiseHash h = PairwiseHash::draw(range, rng);
       bool injective = true;
       for (const std::uint32_t idx : members) {

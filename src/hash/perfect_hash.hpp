@@ -14,6 +14,13 @@
 ///
 /// Keys are arbitrary uint64 (callers key by vertex id); values are uint32
 /// payload indices into caller-owned storage.
+///
+/// This is the paper's table structure, kept where it serves as the
+/// reference: TZScheme's optional per-vertex index
+/// (`TZSchemeOptions::hash_index`) and the distance oracle's per-bunch
+/// index (oracle/). The serving path's flat view (core/flat_scheme.hpp)
+/// uses Eytzinger-ordered slices instead, which measured faster and
+/// smaller there.
 
 #pragma once
 
@@ -23,7 +30,6 @@
 
 #include "hash/pairwise.hpp"
 #include "util/annotations.hpp"
-#include "util/prefetch.hpp"
 #include "util/random.hpp"
 
 namespace croute {
@@ -31,79 +37,15 @@ namespace croute {
 /// Immutable perfect-hash map uint64 → uint32 (build once, query forever).
 class PerfectHashMap {
  public:
-  /// Construction-time retry counters: how many level-1 redraws the Σb²
-  /// bound cost and how many level-2 redraws injectivity cost. Expected
-  /// O(1) each; surfaced so scheme-compile telemetry can attribute
-  /// rebuild time to hash seeding luck.
-  struct BuildStats {
-    std::uint64_t top_retries = 0;
-    std::uint64_t bucket_retries = 0;
-  };
-
   /// Builds from distinct keys. Throws std::invalid_argument on duplicate
-  /// keys. Expected O(n) time. \p stats, when non-null, receives the
-  /// retry counters.
+  /// keys. Expected O(n) time.
   static PerfectHashMap build(
       const std::vector<std::pair<std::uint64_t, std::uint32_t>>& entries,
-      Rng& rng, BuildStats* stats = nullptr);
+      Rng& rng);
 
   /// Value for \p key, or std::nullopt. O(1) worst case.
   CROUTE_HOT std::optional<std::uint32_t> find(
       std::uint64_t key) const noexcept;
-
-  /// --- staged probe (the software-pipelined batch engine) ---------------
-  /// A find is two dependent loads: bucket parameters, then the slot. The
-  /// staged API lets a caller interleave G probes so each load is
-  /// prefetched while other probes compute:
-  ///   prefetch_bucket(key);                    // round 0
-  ///   slot = locate_slot(key); prefetch_slot;  // round 1 (params cached)
-  ///   value_at(slot, key);                     // round 2 (slot cached)
-  /// value_at(locate_slot(key), key) == find(key) for every key.
-
-  /// "no slot" sentinel of locate_slot (empty map or empty bucket).
-  static constexpr std::uint64_t kNoSlot = ~std::uint64_t{0};
-
-  CROUTE_HOT void prefetch_bucket(std::uint64_t key) const noexcept {
-    if (size_ == 0) return;
-    const std::uint64_t i = (*top_)(key);
-    CROUTE_PREFETCH(&bucket_offset_[i]);
-    CROUTE_PREFETCH(&bucket_a_[i]);
-    CROUTE_PREFETCH(&bucket_b_[i]);
-  }
-
-  CROUTE_HOT std::uint64_t locate_slot(std::uint64_t key) const noexcept {
-    if (size_ == 0) return kNoSlot;
-    const std::uint64_t i = (*top_)(key);
-    const std::uint64_t base = bucket_offset_[i];
-    const std::uint64_t width = bucket_offset_[i + 1] - base;
-    if (width == 0) return kNoSlot;
-    return base + PairwiseHash::eval(bucket_a_[i], bucket_b_[i], width, key);
-  }
-
-  CROUTE_HOT void prefetch_slot(std::uint64_t slot) const noexcept {
-    if (slot == kNoSlot) return;
-    CROUTE_PREFETCH(&keys_[slot]);
-    CROUTE_PREFETCH(&values_[slot]);
-  }
-
-  CROUTE_HOT std::optional<std::uint32_t> value_at(
-      std::uint64_t slot, std::uint64_t key) const noexcept {
-    if (slot == kNoSlot || keys_[slot] != key) return std::nullopt;
-    return values_[slot];
-  }
-
-  /// --- raw slot arrays (batched SIMD slot check) -------------------------
-  /// The level-2 slot key / value arrays, indexed by locate_slot results.
-  /// Free slots hold the kEmpty key (~0), which never equals a packed
-  /// (vertex, key) pair, so a batched compare needs no emptiness test —
-  /// simd::Ops::fks_value_batch gathers slot_keys()[slot], compares, and
-  /// blends slot_values()[slot] exactly as value_at does per lane.
-  CROUTE_HOT const std::uint64_t* slot_keys() const noexcept {
-    return keys_.data();
-  }
-  CROUTE_HOT const std::uint32_t* slot_values() const noexcept {
-    return values_.data();
-  }
 
   bool contains(std::uint64_t key) const noexcept {
     return find(key).has_value();

@@ -160,14 +160,17 @@ const char* section_name(std::uint32_t id) {
 /// Not in the anonymous namespace — the friend declarations name
 /// croute::ArtifactCodec. Encode writes pools verbatim; decode fills a
 /// default-constructed view, validates every CSR invariant the routers
-/// rely on, rebinds the base pointer, and recomputes the only derived
-/// state (FKS indexes) from the persisted seed — same seed, same bytes.
+/// rely on, and rebinds the base pointer. Nothing is recomputed: the
+/// pools are the whole serving state.
 class ArtifactCodec {
  public:
   // --- FlatScheme -----------------------------------------------------------
   static void encode_flat(BinaryWriter& w, const FlatScheme& f) {
-    w.u8(f.options_.lookup == FlatLookup::kFKS ? 1 : 0);
-    w.u64(f.options_.hash_seed);
+    // Former lookup-layout byte and FKS hash seed, fixed at their
+    // Eytzinger values so the section layout stays what predecessors
+    // wrote (see decode_flat).
+    w.u8(0);
+    w.u64(0);
     w.vec_u32(f.tbl_off_);
     w.vec_u32(f.tbl_key_);
     w.u64(f.tbl_record_.size());
@@ -211,10 +214,13 @@ class ArtifactCodec {
   static std::unique_ptr<const FlatScheme> decode_flat(SpanReader& r,
                                                        const TZScheme& tz) {
     std::unique_ptr<FlatScheme> f(new FlatScheme());
-    const std::uint8_t lookup = r.u8();
-    if (lookup > 1) reject("FLAT_TZ: unknown lookup layout");
-    f->options_.lookup = lookup == 1 ? FlatLookup::kFKS : FlatLookup::kEytzinger;
-    f->options_.hash_seed = r.u64();
+    // The layout byte once selected FKS (1), whose slices were sorted
+    // rather than Eytzinger-ordered: such pools would answer wrongly.
+    if (r.u8() != 0) {
+      reject("FLAT_TZ: lookup layout byte is not 0 (Eytzinger): the "
+             "pools were written for the removed FKS layout");
+    }
+    r.u64();  // former FKS hash seed: carries nothing
     f->tbl_off_ = r.vec_u32<std::uint32_t>();
     f->tbl_key_ = r.vec_u32<VertexId>();
     const std::uint64_t nrec = r.u64();
@@ -285,10 +291,6 @@ class ArtifactCodec {
     f->port_bits_ = r.u32();
 
     f->base_ = &tz;
-    // The FKS indexes are derived state: rebuilt from the persisted seed
-    // they come out byte-identical to the original compile's (the same
-    // invariant scheme_io relies on for TZScheme's hash index).
-    f->compile_hashes(nullptr);
     f->stats_.pool_bytes = f->pool_bytes();
     f->stats_.threads = 1;
     return f;
@@ -460,7 +462,7 @@ void write_header(BinaryWriter& w, const ArtifactMeta& meta,
   w.u8(static_cast<std::uint8_t>(meta.scheme));
   w.u8(static_cast<std::uint8_t>(meta.sampling));
   w.u8(1);  // byte 14, formerly use_flat: see parse_header
-  w.u8(static_cast<std::uint8_t>(meta.flat_lookup));
+  w.u8(0);  // byte 15, formerly the flat lookup layout: see parse_header
   w.u8(meta.warm_started ? 1 : 0);
   w.u32(meta.k);
   w.u32(meta.n);
@@ -513,9 +515,13 @@ ParsedHeader parse_header(std::string_view bytes) {
     reject("header byte 14 is not 1: the artifact was written for the "
            "removed legacy (sim/-adapter) serving path");
   }
-  const std::uint8_t lookup = r.u8();
-  if (lookup > 1) reject("unknown flat lookup layout in header");
-  h.meta.flat_lookup = static_cast<FlatLookup>(lookup);
+  // Byte 15 held the since-removed flat lookup layout. Every artifact
+  // this build serves carries 0 (Eytzinger); a 1 names a generation of
+  // the deleted FKS layout, whose pools this build cannot search.
+  if (r.u8() != 0) {
+    reject("header byte 15 is not 0: the artifact was written for the "
+           "removed FKS lookup layout");
+  }
   h.meta.warm_started = r.u8() != 0;
   h.meta.k = r.u32();
   h.meta.n = r.u32();
@@ -614,7 +620,9 @@ std::uint64_t content_options_digest(const RouteServiceOptions& options) {
   // change every digest, and a service upgraded past its removal must
   // still recover the artifacts its predecessor wrote.
   h = mix64(h ^ 1);
-  h = mix64(h ^ static_cast<std::uint64_t>(options.flat_lookup));
+  // The former lookup-layout term, fixed at its Eytzinger value (0) for
+  // the same reason.
+  h = mix64(h ^ 0);
   return h;
 }
 
@@ -647,7 +655,6 @@ std::string encode_package(const SchemePackage& pkg,
   meta.format_version = kArtifactFormatVersion;
   meta.scheme = pkg.options.scheme;
   meta.sampling = pkg.options.sampling;
-  meta.flat_lookup = pkg.options.flat_lookup;
   meta.warm_started = !pkg.options.warm_start_path.empty();
   meta.k = pkg.options.k;
   meta.n = pkg.graph->num_vertices();
@@ -717,7 +724,7 @@ SchemePackagePtr decode_package(std::string_view bytes,
   if (h.meta.options_digest != content_options_digest(serving)) {
     reject(
         "built under different construction options (digest mismatch: "
-        "k/sampling/seed/flat_lookup changed) — refusing to serve it");
+        "k/sampling/seed changed) — refusing to serve it");
   }
 
   auto pkg = std::make_shared<SchemePackage>();
@@ -747,9 +754,6 @@ SchemePackagePtr decode_package(std::string_view bytes,
     const std::string_view fb = section_bytes(bytes, h, kSecFlatTZ);
     SpanReader r(fb, sec->offset);
     pkg->flat = ArtifactCodec::decode_flat(r, *pkg->tz);
-    if (pkg->flat->lookup_kind() != serving.flat_lookup) {
-      reject("FLAT_TZ: pooled lookup layout disagrees with the header");
-    }
     pkg->flat_router = std::make_unique<const FlatRouter>(*pkg->flat);
     pkg->flat_stats = pkg->flat->compile_stats();
   } else if (serving.scheme == SchemeKind::kCowen) {

@@ -27,9 +27,15 @@
 /// per-section sums then localize any corruption to the section that
 /// rotted. Loaded state is byte-identical to a fresh build on the same
 /// (graph, options): the TZ bytes go through scheme_io's proven
-/// round-trip, the flat pools are stored verbatim, and the only derived
-/// state (the FKS perfect-hash indexes, bits-by-length tables) is
-/// recomputed from the same seeds it was originally drawn from.
+/// round-trip, and the flat pools (bits-by-length tables included) are
+/// stored verbatim — no derived state is recomputed on load.
+///
+/// Two header bytes and one FLAT_TZ field outlive the options they held,
+/// so a predecessor's artifacts keep their layout and still recover:
+/// byte 14 (former use_flat) is written as 1 and byte 15 (former flat
+/// lookup layout) as 0, a loader rejects any other value with a reason
+/// naming the byte, and the FLAT_TZ u64 that held the FKS hash seed is
+/// written as 0 and ignored on read.
 ///
 /// Everything here is pure bytes-in/bytes-out; the atomic file lifecycle
 /// (tmp → fsync → rename, MANIFEST, retention, fault injection) lives in
@@ -54,7 +60,6 @@ struct ArtifactMeta {
   std::uint32_t format_version = 0;
   SchemeKind scheme = SchemeKind::kTZDirect;
   SamplingMode sampling = SamplingMode::kCentered;
-  FlatLookup flat_lookup = FlatLookup::kEytzinger;
   bool warm_started = false;  ///< generation originated from a warm start
   std::uint32_t k = 0;
   VertexId n = 0;             ///< vertex count of the payload graph
@@ -66,7 +71,7 @@ struct ArtifactMeta {
 };
 
 /// Digest over the options fields that determine a package's bytes
-/// (scheme, k, sampling, seed, flat_lookup). Serving knobs
+/// (scheme, k, sampling, seed). Serving knobs
 /// (threads, batch_group, metrics, record_paths) do not participate: a
 /// recovered artifact serves under whatever serving options the process
 /// was started with.

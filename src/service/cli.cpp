@@ -100,13 +100,11 @@ ServiceSetup parse_service_setup(const Flags& flags) {
         "--legacy was removed: the service has one (flat) serving path; "
         "sim/ is the reference it is tested against");
   }
-  const std::string lookup = flags.get_string("lookup", "eytzinger");
-  if (lookup != "fks" && lookup != "eytzinger") {
-    throw std::invalid_argument("--lookup expects fks or eytzinger, got " +
-                                lookup);
+  if (flags.has("lookup")) {
+    throw std::invalid_argument(
+        "--lookup was removed: the flat view has one lookup layout "
+        "(Eytzinger)");
   }
-  opt.flat_lookup =
-      lookup == "fks" ? FlatLookup::kFKS : FlatLookup::kEytzinger;
   opt.batch_group = get_unsigned(flags, "batch-group", opt.batch_group);
   opt.persist.dir = flags.get_string("artifact-dir", "");
   opt.persist.retain =

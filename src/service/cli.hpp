@@ -12,7 +12,7 @@
 /// to the binaries.
 ///
 /// Shared flags: --graph=FILE | --family=NAME --n=N [--weighted]
-/// --scheme --k --sampling --seed --threads --lookup --batch-group
+/// --scheme --k --sampling --seed --threads --batch-group
 /// --warm=FILE --artifact-dir --artifact-retain --rebuild-retries
 /// [--no-metrics] --workload --queries --batch --source-pool
 ///

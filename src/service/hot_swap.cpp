@@ -74,7 +74,6 @@ void emit_rebuild_spans(obs::TraceRecorder& trace, const SchemePackage& pkg,
   emit("flat_tables", "rebuild.flat", fs.tables_ms / 1e3);
   emit("flat_directories", "rebuild.flat", fs.directories_ms / 1e3);
   emit("flat_labels", "rebuild.flat", fs.labels_ms / 1e3);
-  emit("flat_hash", "rebuild.flat", fs.hash_ms / 1e3);
 }
 
 }  // namespace

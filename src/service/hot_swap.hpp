@@ -42,9 +42,9 @@
 /// rebuild successful).
 ///
 /// Each recorded rebuild also folds the package's flat-compile stats
-/// (FlatScheme::compile_stats: per-phase wall time, FKS retry counts,
-/// pool bytes) into the service telemetry, so churn reports can say how
-/// much of a rebuild was preprocessing versus flat compilation.
+/// (FlatScheme::compile_stats: per-phase wall time, pool bytes) into the
+/// service telemetry, so churn reports can say how much of a rebuild was
+/// preprocessing versus flat compilation.
 
 #pragma once
 

@@ -139,9 +139,6 @@ RouteService::RouteService(const Graph& g, const RouteServiceOptions& options)
   num_vertices_ = pkg->graph->num_vertices();
   flat_compile_seconds_.store(pkg->flat_stats.total_ms / 1e3,
                               std::memory_order_relaxed);
-  fks_retries_.store(
-      pkg->flat_stats.fks_top_retries + pkg->flat_stats.fks_bucket_retries,
-      std::memory_order_relaxed);
   const std::uint64_t pool_bytes = pkg->flat_stats.pool_bytes;
   package_current_ = std::move(pkg);
   pool_ = std::make_unique<ThreadPool>(options.threads);
@@ -262,9 +259,6 @@ void RouteService::record_rebuild(const SchemePackage& pkg) {
   rebuild_seconds_.fetch_add(pkg.build_seconds, std::memory_order_relaxed);
   flat_compile_seconds_.fetch_add(pkg.flat_stats.total_ms / 1e3,
                                   std::memory_order_relaxed);
-  fks_retries_.fetch_add(
-      pkg.flat_stats.fks_top_retries + pkg.flat_stats.fks_bucket_retries,
-      std::memory_order_relaxed);
   if (pkg.incr_stats.used) {
     incremental_rebuilds_.fetch_add(1, std::memory_order_relaxed);
     clusters_reused_.fetch_add(pkg.incr_stats.clusters_reused,
@@ -817,7 +811,6 @@ ServiceTelemetry RouteService::snapshot() const {
       max_swap_blackout_us_.load(std::memory_order_relaxed);
   t.flat_compile_seconds =
       flat_compile_seconds_.load(std::memory_order_relaxed);
-  t.fks_retries = fks_retries_.load(std::memory_order_relaxed);
   t.flat_pool_bytes = package()->flat_stats.pool_bytes;
   t.incremental_rebuilds =
       incremental_rebuilds_.load(std::memory_order_relaxed);

@@ -277,8 +277,6 @@ struct ServiceTelemetry {
   /// performed (initial + rebuilds) — the slice of rebuild_seconds the
   /// flat view costs.
   double flat_compile_seconds = 0;
-  /// Summed FKS retry counts over those compiles (seeding luck).
-  std::uint64_t fks_retries = 0;
   /// Pool bytes of the CURRENT generation's flat view.
   std::uint64_t flat_pool_bytes = 0;
   // --- incremental-rebuild attribution (delta-aware rebuilds only) ---
@@ -568,7 +566,6 @@ class RouteService {
   std::atomic<std::uint64_t> rebuilds_{0};
   std::atomic<double> rebuild_seconds_{0};
   std::atomic<double> flat_compile_seconds_{0};
-  std::atomic<std::uint64_t> fks_retries_{0};
   std::atomic<std::uint64_t> incremental_rebuilds_{0};
   std::atomic<std::uint64_t> clusters_reused_{0};
   std::atomic<std::uint64_t> clusters_total_{0};

@@ -157,8 +157,6 @@ SchemePackagePtr build_package(std::shared_ptr<const Graph> graph,
                                                    &pkg->tz_phases);
       }
       FlatSchemeOptions fopt;
-      fopt.lookup = options.flat_lookup;
-      fopt.hash_seed = mix64(options.seed ^ 0xf1a7c0def1a7c0deULL);
       fopt.pool = pool;
       pkg->flat = std::make_unique<const FlatScheme>(*pkg->tz, fopt);
       pkg->flat_router = std::make_unique<const FlatRouter>(*pkg->flat);

@@ -80,12 +80,6 @@ struct RouteServiceOptions {
   /// runs usually don't). Paths land in per-worker arenas — see
   /// RouteAnswer::path for the validity contract.
   bool record_paths = false;
-  /// Lookup layout of the flat view (TZ schemes only). The FlatScheme
-  /// default is kFKS (the paper's O(1) hash-table story); the service
-  /// defaults to the Eytzinger descent, which wins end-to-end on walks —
-  /// per-hop probes of the per-vertex key slices stay in cache where the
-  /// global hash's slot arrays do not (bench_micro_decision shows both).
-  FlatLookup flat_lookup = FlatLookup::kEytzinger;
   /// Pipeline depth of the batched serving engine (core/flat_batch.hpp):
   /// how many queries' descents one worker keeps in flight, prefetching
   /// each lane's next load while the others compute. 0 = scalar serving

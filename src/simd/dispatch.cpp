@@ -3,8 +3,9 @@
 ///
 /// Selection happens once, lazily, at the first ops() call: the
 /// CROUTE_SIMD environment variable wins when it names an available
-/// implementation (an unavailable one warns on stderr and falls back to
-/// generic — a forced run never faults on missing instructions), else
+/// implementation (an unknown or unavailable one — say a stale script's
+/// "sse42" — warns on stderr and falls back to generic: a forced run
+/// never faults on missing instructions), else
 /// the widest compiled-in ISA the running CPU supports. x86 feature
 /// bits come from `__builtin_cpu_supports` (CPUID); AArch64 NEON is
 /// architecturally guaranteed, so compiled-in implies supported.
@@ -22,7 +23,6 @@ namespace croute::simd {
 const char* isa_name(Isa isa) noexcept {
   switch (isa) {
     case Isa::kGeneric: return "generic";
-    case Isa::kSSE42: return "sse42";
     case Isa::kAVX2: return "avx2";
     case Isa::kNEON: return "neon";
   }
@@ -31,7 +31,6 @@ const char* isa_name(Isa isa) noexcept {
 
 std::optional<Isa> isa_from_name(std::string_view name) noexcept {
   if (name == "generic") return Isa::kGeneric;
-  if (name == "sse42") return Isa::kSSE42;
   if (name == "avx2") return Isa::kAVX2;
   if (name == "neon") return Isa::kNEON;
   return std::nullopt;
@@ -42,7 +41,6 @@ namespace {
 const Ops* table_for(Isa isa) noexcept {
   switch (isa) {
     case Isa::kGeneric: return &kGenericOps;
-    case Isa::kSSE42: return &kSse42Ops;
     case Isa::kAVX2: return &kAvx2Ops;
     case Isa::kNEON: return &kNeonOps;
   }
@@ -53,12 +51,6 @@ bool cpu_supports(Isa isa) noexcept {
   switch (isa) {
     case Isa::kGeneric:
       return true;
-    case Isa::kSSE42:
-#if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("sse4.2") != 0;
-#else
-      return false;
-#endif
     case Isa::kAVX2:
 #if defined(__x86_64__) || defined(__i386__)
       return __builtin_cpu_supports("avx2") != 0;
@@ -77,7 +69,7 @@ bool cpu_supports(Isa isa) noexcept {
 
 /// Widest-first auto-selection order across both architectures; the
 /// tables not compiled into this binary drop out via available().
-constexpr Isa kPreference[] = {Isa::kAVX2, Isa::kNEON, Isa::kSSE42};
+constexpr Isa kPreference[] = {Isa::kAVX2, Isa::kNEON};
 
 std::atomic<const Ops*> g_selected{nullptr};
 
@@ -87,8 +79,8 @@ const Ops* resolve_initial() noexcept {
       return table_for(*isa);
     }
     std::fprintf(stderr,
-                 "croute: CROUTE_SIMD=%s not available on this binary/CPU; "
-                 "using generic\n",
+                 "croute: CROUTE_SIMD=%s is unknown or not available on "
+                 "this binary/CPU; using generic\n",
                  env);
     return &kGenericOps;
   }
@@ -102,18 +94,13 @@ const Ops* resolve_initial() noexcept {
 
 bool available(Isa isa) noexcept {
   const Ops* table = table_for(isa);
-  return table->eytzinger_batch != nullptr &&
-         table->fks_value_batch != nullptr && cpu_supports(isa);
+  return table->eytzinger_batch != nullptr && cpu_supports(isa);
 }
 
 std::vector<Isa> compiled() {
   std::vector<Isa> out;
-  for (Isa isa : {Isa::kGeneric, Isa::kSSE42, Isa::kAVX2, Isa::kNEON}) {
-    const Ops* table = table_for(isa);
-    if (table->eytzinger_batch != nullptr &&
-        table->fks_value_batch != nullptr) {
-      out.push_back(isa);
-    }
+  for (Isa isa : {Isa::kGeneric, Isa::kAVX2, Isa::kNEON}) {
+    if (table_for(isa)->eytzinger_batch != nullptr) out.push_back(isa);
   }
   return out;
 }

@@ -17,7 +17,6 @@
 namespace croute::simd {
 
 extern const Ops kGenericOps;
-extern const Ops kSse42Ops;
 extern const Ops kAvx2Ops;
 extern const Ops kNeonOps;
 

@@ -17,8 +17,6 @@
 #include <bit>
 #include <cstdint>
 
-#include "simd/simd.hpp"
-
 #include "util/annotations.hpp"
 
 namespace croute::simd::detail {
@@ -60,22 +58,6 @@ CROUTE_HOT inline void eytzinger_batch_scalar(const std::uint32_t* keys,
                                    std::uint32_t count) noexcept {
   for (std::uint32_t l = 0; l < count; ++l) {
     out[l] = eytzinger_one(keys, offs[l], lens[l], xs[l]);
-  }
-}
-
-/// Scalar fks_value_batch (the generic kernel and every tail loop).
-/// Mirrors PerfectHashMap::value_at with the miss mapped to kNotFound.
-CROUTE_HOT inline void fks_value_batch_scalar(const std::uint64_t* slot_keys,
-                                   const std::uint32_t* slot_values,
-                                   const std::uint64_t* slots,
-                                   const std::uint64_t* want,
-                                   std::uint32_t* out,
-                                   std::uint32_t count) noexcept {
-  for (std::uint32_t l = 0; l < count; ++l) {
-    const std::uint64_t slot = slots[l];
-    out[l] = (slot == kNoSlot || slot_keys[slot] != want[l])
-                 ? kNotFound
-                 : slot_values[slot];
   }
 }
 

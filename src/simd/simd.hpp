@@ -4,17 +4,17 @@
 ///
 /// The batch-pipelined engine (core/flat_batch.hpp) runs G lanes through
 /// lockstep stage loops: every live lane executes the *same* Eytzinger
-/// compare-and-step / FKS slot probe per round, over comparands the
-/// engine compacts into contiguous SoA scratch arrays. That shape is
+/// compare-and-step per round, over comparands the engine compacts into
+/// contiguous SoA scratch arrays. That shape is
 /// textbook data parallelism — gather the lanes' current keys, compare
 /// against the lanes' search keys, blend the stepped indices — so each
 /// round is one call into a lane-parallel kernel instead of a scalar
 /// loop.
 ///
 /// This header is the only thing callers see. Behind it sit one
-/// implementation per ISA (simd_generic.cpp, simd_sse42.cpp,
-/// simd_avx2.cpp, simd_neon.cpp), each compiled in its own translation
-/// unit with that ISA's `-m` flags (CMakeLists.txt) so the fat binary
+/// implementation per ISA (simd_generic.cpp, simd_avx2.cpp,
+/// simd_neon.cpp), each compiled in its own translation unit with that
+/// ISA's `-m` flags (CMakeLists.txt) so the fat binary
 /// still runs on baseline hardware: no SIMD instruction executes unless
 /// the runtime dispatcher (dispatch.cpp) verified CPU support first —
 /// CPUID feature bits via `__builtin_cpu_supports` on x86, architecture
@@ -28,11 +28,13 @@
 /// scheme kinds and group sizes.
 ///
 /// Selection: the best supported ISA wins at first use; the
-/// `CROUTE_SIMD` environment variable (generic|sse42|avx2|neon) forces a
-/// specific one (an unavailable forced ISA warns on stderr and falls
-/// back to generic — deterministic, never faulting); `force()` does the
-/// same programmatically (the cross-ISA test matrix and the bench sweep
-/// drive it).
+/// `CROUTE_SIMD` environment variable (generic|avx2|neon) forces a
+/// specific one (an unknown or unavailable forced ISA warns on stderr and
+/// falls back to generic — deterministic, never faulting); `force()` does
+/// the same programmatically (the cross-ISA test matrix and the bench
+/// sweep drive it). Pre-AVX2 x86 runs the generic table: an SSE4.2 table
+/// (4 lanes, scalar loads) measured no faster than generic and was
+/// removed.
 
 #pragma once
 
@@ -49,28 +51,18 @@ namespace croute::simd {
 /// auto-selection (widest usable first on each architecture).
 enum class Isa : std::uint8_t {
   kGeneric,  ///< portable scalar loops, always available
-  kSSE42,    ///< 4 × 32-bit lanes (x86; loads stay scalar — no gather)
-  kAVX2,     ///< 8 × 32-bit / 4 × 64-bit lanes with hardware gathers (x86)
+  kAVX2,     ///< 8 × 32-bit lanes with hardware gathers (x86)
   kNEON,     ///< 4 × 32-bit lanes (AArch64; loads stay scalar)
 };
 
-/// Stable lowercase name ("generic", "sse42", "avx2", "neon") — the
+/// Stable lowercase name ("generic", "avx2", "neon") — the
 /// CROUTE_SIMD vocabulary, bench row labels, and the metric label value.
 const char* isa_name(Isa isa) noexcept;
 
 /// Parses isa_name's vocabulary; nullopt on anything else.
 std::optional<Isa> isa_from_name(std::string_view name) noexcept;
 
-/// "miss" sentinel of fks_value_batch — numerically identical to
-/// FlatScheme::kNotFound (static_asserted at the use site) so kernel
-/// outputs feed the engine without translation.
-inline constexpr std::uint32_t kNotFound = ~std::uint32_t{0};
-
-/// "no slot" sentinel of fks_value_batch inputs — numerically identical
-/// to PerfectHashMap::kNoSlot.
-inline constexpr std::uint64_t kNoSlot = ~std::uint64_t{0};
-
-/// One ISA's kernel table. All function pointers are non-null in a
+/// One ISA's kernel table. The kernel pointer is non-null in a
 /// compiled-in implementation; `ops()` only ever returns tables whose
 /// ISA the running CPU supports.
 struct Ops {
@@ -88,21 +80,6 @@ struct Ops {
   void (*eytzinger_batch)(const std::uint32_t* keys,
                           const std::uint32_t* offs, const std::uint32_t* lens,
                           const std::uint32_t* xs, std::uint32_t* out,
-                          std::uint32_t count) = nullptr;
-
-  /// Batched FKS slot check — the tail of a perfect-hash probe once the
-  /// slot is located: for each lane i < count, out[i] =
-  /// slot_values[slots[i]] when slot_keys[slots[i]] == want[i], else
-  /// kNotFound; slots[i] == kNoSlot yields kNotFound. Identical to
-  /// PerfectHashMap::value_at(slots[i], want[i]) with the miss mapped to
-  /// kNotFound. (The slot *location* — two multiply-mod-p hash
-  /// evaluations over 128-bit products — stays scalar in the caller: the
-  /// Mersenne-prime field arithmetic has no 64×64→128 vector form on
-  /// these ISAs, and the located slot's load is what actually misses.)
-  void (*fks_value_batch)(const std::uint64_t* slot_keys,
-                          const std::uint32_t* slot_values,
-                          const std::uint64_t* slots,
-                          const std::uint64_t* want, std::uint32_t* out,
                           std::uint32_t count) = nullptr;
 };
 

@@ -1,6 +1,6 @@
 /// \file simd_avx2.cpp
-/// \brief AVX2 kernels: 8 × 32-bit lanes for the Eytzinger descent with
-/// hardware masked gathers, 4 × 64-bit lanes for the FKS slot check.
+/// \brief AVX2 kernel: 8 × 32-bit lanes for the Eytzinger descent with
+/// hardware masked gathers.
 ///
 /// This TU is compiled with `-mavx2` (CMakeLists.txt) on x86; the
 /// feature macro gates the body so the file still builds — exporting a
@@ -124,47 +124,12 @@ CROUTE_HOT void eytzinger_batch_avx2(const std::uint32_t* keys, const std::uint3
                                  out + base, count - base);
 }
 
-CROUTE_HOT void fks_value_batch_avx2(const std::uint64_t* slot_keys,
-                          const std::uint32_t* slot_values,
-                          const std::uint64_t* slots,
-                          const std::uint64_t* want, std::uint32_t* out,
-                          std::uint32_t count) {
-  const __m256i no_slot = _mm256_set1_epi64x(-1);  // kNoSlot
-  const __m256i zero = _mm256_setzero_si256();
-  std::uint32_t base = 0;
-  for (; base + 4 <= count; base += 4) {
-    const __m256i vslot = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(slots + base));
-    const __m256i vwant = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(want + base));
-    const __m256i valid =
-        _mm256_cmpeq_epi64(_mm256_cmpeq_epi64(vslot, no_slot), zero);
-    // The parallel part that matters: 4 independent slot-key loads in
-    // flight (each is the probe's cache miss). kNoSlot lanes are masked
-    // out — their index would be -1.
-    const __m256i vkey = _mm256_mask_i64gather_epi64(
-        zero, reinterpret_cast<const long long*>(slot_keys), vslot, valid, 8);
-    const __m256i hit =
-        _mm256_and_si256(_mm256_cmpeq_epi64(vkey, vwant), valid);
-    const int hit_mask = _mm256_movemask_pd(_mm256_castsi256_pd(hit));
-    for (std::uint32_t l = 0; l < 4; ++l) {
-      out[base + l] = ((hit_mask >> l) & 1)
-                          ? slot_values[static_cast<std::size_t>(
-                                slots[base + l])]
-                          : kNotFound;
-    }
-  }
-  detail::fks_value_batch_scalar(slot_keys, slot_values, slots + base,
-                                 want + base, out + base, count - base);
-}
-
 }  // namespace
 
 const Ops kAvx2Ops = {
     Isa::kAVX2,
     "avx2",
     &eytzinger_batch_avx2,
-    &fks_value_batch_avx2,
 };
 
 }  // namespace croute::simd
@@ -172,7 +137,7 @@ const Ops kAvx2Ops = {
 #else  // !__AVX2__
 
 namespace croute::simd {
-const Ops kAvx2Ops = {Isa::kAVX2, "avx2", nullptr, nullptr};
+const Ops kAvx2Ops = {Isa::kAVX2, "avx2", nullptr};
 }  // namespace croute::simd
 
 #endif

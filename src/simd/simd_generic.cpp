@@ -14,7 +14,6 @@ const Ops kGenericOps = {
     Isa::kGeneric,
     "generic",
     &detail::eytzinger_batch_scalar,
-    &detail::fks_value_batch_scalar,
 };
 
 }  // namespace croute::simd

@@ -3,11 +3,10 @@
 ///
 /// NEON is architecturally mandatory on AArch64, so no per-file `-m`
 /// flag and no runtime feature check are needed there — the dispatcher
-/// treats it as always-supported when compiled in. Like SSE4.2 there is
-/// no gather: key loads stay scalar, the vector unit carries the
-/// compare-and-step and the active-lane mask, and NEON's native
-/// unsigned compare drops the sign-flip trick the x86 TUs need. The FKS
-/// slot check keeps the shared scalar loop.
+/// treats it as always-supported when compiled in. NEON has no gather:
+/// key loads stay scalar, the vector unit carries the compare-and-step
+/// and the active-lane mask, and NEON's native unsigned compare drops the
+/// sign-flip trick the AVX2 TU needs.
 
 #include "simd/ops_tables.hpp"
 
@@ -66,7 +65,6 @@ const Ops kNeonOps = {
     Isa::kNEON,
     "neon",
     &eytzinger_batch_neon,
-    &detail::fks_value_batch_scalar,
 };
 
 }  // namespace croute::simd
@@ -74,7 +72,7 @@ const Ops kNeonOps = {
 #else  // !(aarch64 && NEON)
 
 namespace croute::simd {
-const Ops kNeonOps = {Isa::kNEON, "neon", nullptr, nullptr};
+const Ops kNeonOps = {Isa::kNEON, "neon", nullptr};
 }  // namespace croute::simd
 
 #endif

@@ -2,10 +2,9 @@
 // compiled view must agree with the legacy VertexTable / ClusterDirectory
 // / RoutingLabel structures answer-for-answer — same find results, same
 // prepared headers (pivot, tree label, exact wire bits), same per-hop
-// decisions — across k ∈ {2,3,4}, both lookup layouts (Eytzinger + FKS),
-// and all three routing policies; and RouteService must serve
-// byte-identical answers to the sim/ reference walk (Simulator + the
-// scheme adapters) at every thread count.
+// decisions — across k ∈ {2,3,4} and all three routing policies; and
+// RouteService must serve byte-identical answers to the sim/ reference
+// walk (Simulator + the scheme adapters) at every thread count.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +24,6 @@
 namespace croute {
 namespace {
 
-constexpr FlatLookup kLayouts[] = {FlatLookup::kEytzinger, FlatLookup::kFKS};
 constexpr RoutingPolicy kPolicies[] = {RoutingPolicy::kMinLevel,
                                        RoutingPolicy::kMinEstimate,
                                        RoutingPolicy::kLabelOnly};
@@ -82,50 +80,46 @@ void expect_same_walk(const Graph& g, VertexId s, VertexId t,
 TEST(FlatScheme, FindMatchesLegacyLookup) {
   for (const std::uint32_t k : {2u, 3u, 4u}) {
     const FlatFixture fx(k, 150, 100 + k);
-    for (const FlatLookup layout : kLayouts) {
-      FlatSchemeOptions fopt;
-      fopt.lookup = layout;
-      const FlatScheme flat(*fx.scheme, fopt);
-      Rng probe_rng(7);
-      for (VertexId v = 0; v < fx.g.num_vertices(); ++v) {
-        // Every present key must be found with identical payloads.
-        for (const TableEntry& e : fx.scheme->table(v).entries()) {
-          const std::uint32_t idx = flat.find(v, e.w);
-          ASSERT_NE(idx, FlatScheme::kNotFound);
-          EXPECT_EQ(flat.dist(idx), e.dist);
-          EXPECT_EQ(flat.level(idx), e.level);
-          EXPECT_EQ(flat.record(idx).dfs_in, e.record.dfs_in);
-          EXPECT_EQ(flat.record(idx).parent_port, e.record.parent_port);
-          const TreeLabel own = fx.scheme->table(v).own_label(e);
-          EXPECT_EQ(flat.own_dfs(idx), own.dfs_in);
-          const auto ports = flat.own_light_ports(idx);
-          ASSERT_EQ(ports.size(), own.light_ports.size());
-          for (std::size_t j = 0; j < ports.size(); ++j) {
-            EXPECT_EQ(ports[j], own.light_ports[j]);
-          }
+    const FlatScheme flat(*fx.scheme);
+    Rng probe_rng(7);
+    for (VertexId v = 0; v < fx.g.num_vertices(); ++v) {
+      // Every present key must be found with identical payloads.
+      for (const TableEntry& e : fx.scheme->table(v).entries()) {
+        const std::uint32_t idx = flat.find(v, e.w);
+        ASSERT_NE(idx, FlatScheme::kNotFound);
+        EXPECT_EQ(flat.dist(idx), e.dist);
+        EXPECT_EQ(flat.level(idx), e.level);
+        EXPECT_EQ(flat.record(idx).dfs_in, e.record.dfs_in);
+        EXPECT_EQ(flat.record(idx).parent_port, e.record.parent_port);
+        const TreeLabel own = fx.scheme->table(v).own_label(e);
+        EXPECT_EQ(flat.own_dfs(idx), own.dfs_in);
+        const auto ports = flat.own_light_ports(idx);
+        ASSERT_EQ(ports.size(), own.light_ports.size());
+        for (std::size_t j = 0; j < ports.size(); ++j) {
+          EXPECT_EQ(ports[j], own.light_ports[j]);
         }
-        // Random probes agree on membership (mostly misses).
-        for (int r = 0; r < 16; ++r) {
-          const auto w =
-              static_cast<VertexId>(probe_rng.next_below(fx.g.num_vertices()));
-          EXPECT_EQ(flat.find(v, w) != FlatScheme::kNotFound,
-                    fx.scheme->lookup(v, w) != nullptr);
-        }
-        // Directory membership agrees as well.
-        const ClusterDirectory& dir = fx.scheme->directory(v);
-        for (const VertexId t : dir.members()) {
-          const std::uint32_t di = flat.dir_find(v, t);
-          ASSERT_NE(di, FlatScheme::kNotFound);
-          const std::uint32_t li = dir.find_index(t);
-          ASSERT_NE(li, ClusterDirectory::kNoIndex);
-          EXPECT_EQ(flat.dir_dfs(di), dir.dfs_at(li));
-        }
-        for (int r = 0; r < 16; ++r) {
-          const auto t =
-              static_cast<VertexId>(probe_rng.next_below(fx.g.num_vertices()));
-          EXPECT_EQ(flat.dir_find(v, t) != FlatScheme::kNotFound,
-                    dir.contains(t));
-        }
+      }
+      // Random probes agree on membership (mostly misses).
+      for (int r = 0; r < 16; ++r) {
+        const auto w =
+            static_cast<VertexId>(probe_rng.next_below(fx.g.num_vertices()));
+        EXPECT_EQ(flat.find(v, w) != FlatScheme::kNotFound,
+                  fx.scheme->lookup(v, w) != nullptr);
+      }
+      // Directory membership agrees as well.
+      const ClusterDirectory& dir = fx.scheme->directory(v);
+      for (const VertexId t : dir.members()) {
+        const std::uint32_t di = flat.dir_find(v, t);
+        ASSERT_NE(di, FlatScheme::kNotFound);
+        const std::uint32_t li = dir.find_index(t);
+        ASSERT_NE(li, ClusterDirectory::kNoIndex);
+        EXPECT_EQ(flat.dir_dfs(di), dir.dfs_at(li));
+      }
+      for (int r = 0; r < 16; ++r) {
+        const auto t =
+            static_cast<VertexId>(probe_rng.next_below(fx.g.num_vertices()));
+        EXPECT_EQ(flat.dir_find(v, t) != FlatScheme::kNotFound,
+                  dir.contains(t));
       }
     }
   }
@@ -135,26 +129,22 @@ TEST(FlatScheme, PrepareAndStepMatchLegacyEverywhere) {
   for (const std::uint32_t k : {2u, 3u, 4u}) {
     const FlatFixture fx(k, 120, 200 + k);
     const TZRouter router(*fx.scheme);
-    for (const FlatLookup layout : kLayouts) {
-      FlatSchemeOptions fopt;
-      fopt.lookup = layout;
-      const FlatScheme flat(*fx.scheme, fopt);
-      const FlatRouter frouter(flat);
-      for (const PairSample& p : all_pairs(fx.g)) {
-        for (const RoutingPolicy policy : kPolicies) {
-          const TZHeader lh =
-              router.prepare(p.s, fx.scheme->label(p.t), policy);
-          const FlatHeader fh = frouter.prepare(p.s, p.t, policy);
-          expect_same_header(lh, fh, router);
-          if (policy == RoutingPolicy::kMinLevel) {
-            expect_same_walk(fx.g, p.s, p.t, router, lh, frouter, fh);
-          }
-        }
-        const TZHeader lh = router.prepare_handshake(p.s, p.t);
-        const FlatHeader fh = frouter.prepare_handshake(p.s, p.t);
+    const FlatScheme flat(*fx.scheme);
+    const FlatRouter frouter(flat);
+    for (const PairSample& p : all_pairs(fx.g)) {
+      for (const RoutingPolicy policy : kPolicies) {
+        const TZHeader lh =
+            router.prepare(p.s, fx.scheme->label(p.t), policy);
+        const FlatHeader fh = frouter.prepare(p.s, p.t, policy);
         expect_same_header(lh, fh, router);
-        expect_same_walk(fx.g, p.s, p.t, router, lh, frouter, fh);
+        if (policy == RoutingPolicy::kMinLevel) {
+          expect_same_walk(fx.g, p.s, p.t, router, lh, frouter, fh);
+        }
       }
+      const TZHeader lh = router.prepare_handshake(p.s, p.t);
+      const FlatHeader fh = frouter.prepare_handshake(p.s, p.t);
+      expect_same_header(lh, fh, router);
+      expect_same_walk(fx.g, p.s, p.t, router, lh, frouter, fh);
     }
   }
 }
@@ -179,35 +169,29 @@ TEST(FlatScheme, PrepareResolvedMatchesPrepare) {
 // regimes — and in particular the boundary and everything past it (a
 // caller-decoded label may carry more light ports than any pooled one) —
 // must agree bit-for-bit with the BitWriter run TZRouter::header_bits
-// performs, under both lookup layouts.
+// performs.
 TEST(FlatScheme, HeaderBitsExactAtAndBeyondTableEdge) {
   for (const std::uint32_t k : {2u, 3u, 4u}) {
     const FlatFixture fx(k, 150, 500 + k);
     const TZRouter router(*fx.scheme);
-    for (const FlatLookup lookup : kLayouts) {
-      FlatSchemeOptions opt;
-      opt.lookup = lookup;
-      const FlatScheme flat(*fx.scheme, opt);
-      const std::uint32_t edge = flat.header_bits_table_len();
-      ASSERT_GE(edge, 1u);  // length 0 is always pooled
-      for (std::uint32_t len = 0; len <= edge + 8; ++len) {
-        TZHeader legacy;
-        legacy.target = 0;
-        legacy.tree_root = 0;
-        legacy.tree_label.dfs_in = 0;
-        legacy.tree_label.light_ports.assign(len, 0);
-        EXPECT_EQ(flat.header_bits_for(len), router.header_bits(legacy))
-            << "k=" << k << " lookup=" << flat_lookup_name(lookup)
-            << " light_len=" << len << " (table edge at " << edge << ")";
-      }
+    const FlatScheme flat(*fx.scheme);
+    const std::uint32_t edge = flat.header_bits_table_len();
+    ASSERT_GE(edge, 1u);  // length 0 is always pooled
+    for (std::uint32_t len = 0; len <= edge + 8; ++len) {
+      TZHeader legacy;
+      legacy.target = 0;
+      legacy.tree_root = 0;
+      legacy.tree_label.dfs_in = 0;
+      legacy.tree_label.light_ports.assign(len, 0);
+      EXPECT_EQ(flat.header_bits_for(len), router.header_bits(legacy))
+          << "k=" << k << " light_len=" << len << " (table edge at " << edge << ")";
     }
   }
 }
 
 // The service must serve answer-for-answer what the sim/ reference walk
 // serves — status, length, hops, header bits, stretch and the recorded
-// path — for every scheme kind, both lookup layouts, and every thread
-// count.
+// path — for every scheme kind and every thread count.
 TEST(FlatService, MatchesLegacyServiceAtEveryThreadCount) {
   Rng grng(55);
   const Graph g = make_workload(GraphFamily::kErdosRenyi, 300, grng);
@@ -230,29 +214,25 @@ TEST(FlatService, MatchesLegacyServiceAtEveryThreadCount) {
       reference.push_back(ref.route(q.s, q.t));
     }
 
-    for (const FlatLookup layout : kLayouts) {
-      for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-        RouteServiceOptions opt = base;
-        opt.flat_lookup = layout;
-        opt.threads = threads;
-        RouteService service(g, opt);
-        const std::vector<RouteAnswer> answers = service.route_collect(queries);
-        ASSERT_EQ(answers.size(), reference.size());
-        for (std::size_t i = 0; i < answers.size(); ++i) {
-          const RouteAnswer& a = answers[i];
-          const RouteResult& r = reference[i];
-          const double stretch = r.status == RouteStatus::kDelivered
-                                     ? r.length / queries[i].exact
-                                     : 0;
-          ASSERT_TRUE(a.status == r.status && a.length == r.length &&
-                      a.hops == r.hops && a.header_bits == r.header_bits &&
-                      a.stretch == stretch &&
-                      std::vector<VertexId>(a.path.begin(), a.path.end()) ==
-                          r.path)
-              << scheme_name(kind) << "/" << flat_lookup_name(layout)
-              << " diverges at pair " << i << " with " << threads
-              << " threads";
-        }
+    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+      RouteServiceOptions opt = base;
+      opt.threads = threads;
+      RouteService service(g, opt);
+      const std::vector<RouteAnswer> answers = service.route_collect(queries);
+      ASSERT_EQ(answers.size(), reference.size());
+      for (std::size_t i = 0; i < answers.size(); ++i) {
+        const RouteAnswer& a = answers[i];
+        const RouteResult& r = reference[i];
+        const double stretch = r.status == RouteStatus::kDelivered
+                                   ? r.length / queries[i].exact
+                                   : 0;
+        ASSERT_TRUE(a.status == r.status && a.length == r.length &&
+                    a.hops == r.hops && a.header_bits == r.header_bits &&
+                    a.stretch == stretch &&
+                    std::vector<VertexId>(a.path.begin(), a.path.end()) ==
+                        r.path)
+            << scheme_name(kind) << " diverges at pair " << i << " with " << threads
+            << " threads";
       }
     }
   }
@@ -287,11 +267,10 @@ TEST(FlatService, DestinationMemoMatchesRouteOne) {
 }
 
 // The batch-pipelined engine must serve byte-identical answers to scalar
-// serving for every scheme kind, both lookup layouts and every pipeline
-// depth — including a group of 1, ragged final generations (query count
+// serving for every scheme kind and every pipeline depth — including a group of 1, ragged final generations (query count
 // not divisible by the group), and self-queries. The scalar reference is
 // the same service with batch_group = 0.
-TEST(FlatBatch, BatchedMatchesScalarAcrossKindsLayoutsAndGroups) {
+TEST(FlatBatch, BatchedMatchesScalarAcrossKindsAndGroups) {
   Rng grng(71);
   const Graph g = make_workload(GraphFamily::kErdosRenyi, 260, grng);
   Rng prng(72);
@@ -308,37 +287,28 @@ TEST(FlatBatch, BatchedMatchesScalarAcrossKindsLayoutsAndGroups) {
     for (const SchemeKind kind :
          {SchemeKind::kTZDirect, SchemeKind::kTZHandshake, SchemeKind::kCowen,
           SchemeKind::kFullTable}) {
-      for (const FlatLookup layout : kLayouts) {
-        RouteServiceOptions scalar_opt;
-        scalar_opt.scheme = kind;
-        scalar_opt.threads = 2;
-        scalar_opt.k = k;
-        scalar_opt.seed = 73;
-        scalar_opt.record_paths = true;
-        scalar_opt.flat_lookup = layout;
-        scalar_opt.batch_group = 0;  // scalar reference
-        RouteService scalar(g, scalar_opt);
-        const std::vector<RouteAnswer> reference =
-            scalar.route_collect(queries);
+      RouteServiceOptions scalar_opt;
+      scalar_opt.scheme = kind;
+      scalar_opt.threads = 2;
+      scalar_opt.k = k;
+      scalar_opt.seed = 73;
+      scalar_opt.record_paths = true;
+      scalar_opt.batch_group = 0;  // scalar reference
+      RouteService scalar(g, scalar_opt);
+      const std::vector<RouteAnswer> reference =
+          scalar.route_collect(queries);
 
-        for (const std::uint32_t group : {1u, 4u, 8u, 16u}) {
-          RouteServiceOptions opt = scalar_opt;
-          opt.batch_group = group;
-          RouteService batched(g, opt);
-          const std::vector<RouteAnswer> answers =
-              batched.route_collect(queries);
-          ASSERT_EQ(answers.size(), reference.size());
-          for (std::size_t i = 0; i < answers.size(); ++i) {
-            ASSERT_TRUE(same_route(reference[i], answers[i]))
-                << scheme_name(kind) << "/" << flat_lookup_name(layout)
-                << " k=" << k << " group=" << group << " diverges at query "
-                << i;
-          }
-        }
-        // Layouts only affect the TZ probes; one pass suffices for the
-        // baselines.
-        if (kind == SchemeKind::kCowen || kind == SchemeKind::kFullTable) {
-          break;
+      for (const std::uint32_t group : {1u, 4u, 8u, 16u}) {
+        RouteServiceOptions opt = scalar_opt;
+        opt.batch_group = group;
+        RouteService batched(g, opt);
+        const std::vector<RouteAnswer> answers =
+            batched.route_collect(queries);
+        ASSERT_EQ(answers.size(), reference.size());
+        for (std::size_t i = 0; i < answers.size(); ++i) {
+          ASSERT_TRUE(same_route(reference[i], answers[i]))
+              << scheme_name(kind) << " k=" << k << " group=" << group
+              << " diverges at query " << i;
         }
       }
     }
@@ -363,35 +333,31 @@ TEST(FlatBatch, RejectsOutOfRangeEndpoints) {
 }
 
 // decide() — the micro bench's batched source decision — must agree with
-// scalar prepare + step for every pair, under both layouts.
+// scalar prepare + step for every pair.
 TEST(FlatBatch, DecideMatchesScalarPrepareStep) {
   const FlatFixture fx(3, 200, 81);
   const Graph& g = fx.g;
-  for (const FlatLookup layout : kLayouts) {
-    FlatSchemeOptions fopt;
-    fopt.lookup = layout;
-    const FlatScheme flat(*fx.scheme, fopt);
-    const FlatRouter router(flat);
-    FlatBatchTarget target;
-    target.graph = &g;
-    target.kind = FlatServeKind::kTZDirect;
-    target.flat = &flat;
-    std::vector<FlatBatchQuery> qs;
-    for (const PairSample& p : all_pairs(g)) {
-      qs.push_back(FlatBatchQuery{p.s, p.t, flat.label(p.t)});
-    }
-    std::vector<FlatBatchAnswer> as(qs.size());
-    FlatBatchEngine engine(8);
-    engine.decide(target, qs, as);
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-      const FlatHeader h = router.prepare(qs[i].s, qs[i].t);
-      const TreeDecision d = router.step(qs[i].s, h);
-      ASSERT_EQ(as[i].tree_root, h.tree_root) << "pair " << i;
-      ASSERT_EQ(as[i].header_bits, h.bits) << "pair " << i;
-      ASSERT_EQ(as[i].first_deliver, d.deliver) << "pair " << i;
-      if (!d.deliver) {
-        ASSERT_EQ(as[i].first_port, d.port) << "pair " << i;
-      }
+  const FlatScheme flat(*fx.scheme);
+  const FlatRouter router(flat);
+  FlatBatchTarget target;
+  target.graph = &g;
+  target.kind = FlatServeKind::kTZDirect;
+  target.flat = &flat;
+  std::vector<FlatBatchQuery> qs;
+  for (const PairSample& p : all_pairs(g)) {
+    qs.push_back(FlatBatchQuery{p.s, p.t, flat.label(p.t)});
+  }
+  std::vector<FlatBatchAnswer> as(qs.size());
+  FlatBatchEngine engine(8);
+  engine.decide(target, qs, as);
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    const FlatHeader h = router.prepare(qs[i].s, qs[i].t);
+    const TreeDecision d = router.step(qs[i].s, h);
+    ASSERT_EQ(as[i].tree_root, h.tree_root) << "pair " << i;
+    ASSERT_EQ(as[i].header_bits, h.bits) << "pair " << i;
+    ASSERT_EQ(as[i].first_deliver, d.deliver) << "pair " << i;
+    if (!d.deliver) {
+      ASSERT_EQ(as[i].first_port, d.port) << "pair " << i;
     }
   }
 }
@@ -440,50 +406,46 @@ TEST(FlatBatch, HandshakeRouteMatchesScalarWalk) {
 // Compiling the flat view over a ThreadPool must produce byte-identical
 // pools to the serial compile: same indices from find, same payloads,
 // same pooled labels, same wire-size table, same pool footprint. (The
-// TSan CI job runs this test, so the parallel fill passes and the
-// concurrent FKS index builds are race-checked too.)
+// TSan CI job runs this test, so the parallel fill passes are
+// race-checked too.)
 TEST(FlatScheme, ParallelCompileMatchesSerial) {
   const FlatFixture fx(3, 220, 61);
   ThreadPool pool(4);
-  for (const FlatLookup layout : kLayouts) {
-    FlatSchemeOptions serial_opt;
-    serial_opt.lookup = layout;
-    const FlatScheme serial(*fx.scheme, serial_opt);
-    FlatSchemeOptions par_opt = serial_opt;
-    par_opt.pool = &pool;
-    const FlatScheme parallel(*fx.scheme, par_opt);
+  const FlatScheme serial(*fx.scheme);
+  FlatSchemeOptions par_opt;
+  par_opt.pool = &pool;
+  const FlatScheme parallel(*fx.scheme, par_opt);
 
-    ASSERT_EQ(serial.pool_bytes(), parallel.pool_bytes());
-    ASSERT_EQ(serial.header_bits_table_len(), parallel.header_bits_table_len());
-    EXPECT_EQ(parallel.compile_stats().threads, 4u);
-    for (VertexId v = 0; v < fx.g.num_vertices(); ++v) {
-      ASSERT_EQ(serial.table_size(v), parallel.table_size(v));
-      for (const TableEntry& e : fx.scheme->table(v).entries()) {
-        const std::uint32_t a = serial.find(v, e.w);
-        const std::uint32_t b = parallel.find(v, e.w);
-        ASSERT_EQ(a, b);
-        ASSERT_NE(a, FlatScheme::kNotFound);
-        ASSERT_EQ(serial.dist(a), parallel.dist(b));
-        ASSERT_EQ(serial.own_dfs(a), parallel.own_dfs(b));
-        const auto pa = serial.own_light_ports(a);
-        const auto pb = parallel.own_light_ports(b);
-        ASSERT_TRUE(std::equal(pa.begin(), pa.end(), pb.begin(), pb.end()));
-      }
-      const ClusterDirectory& dir = fx.scheme->directory(v);
-      for (const VertexId t : dir.members()) {
-        const std::uint32_t a = serial.dir_find(v, t);
-        const std::uint32_t b = parallel.dir_find(v, t);
-        ASSERT_EQ(a, b);
-        ASSERT_EQ(serial.dir_dfs(a), parallel.dir_dfs(b));
-      }
-      const auto la = serial.label(v);
-      const auto lb = parallel.label(v);
-      ASSERT_EQ(la.size(), lb.size());
-      for (std::size_t j = 0; j < la.size(); ++j) {
-        ASSERT_EQ(la[j].w, lb[j].w);
-        ASSERT_EQ(la[j].dfs_in, lb[j].dfs_in);
-        ASSERT_EQ(la[j].light_len, lb[j].light_len);
-      }
+  ASSERT_EQ(serial.pool_bytes(), parallel.pool_bytes());
+  ASSERT_EQ(serial.header_bits_table_len(), parallel.header_bits_table_len());
+  EXPECT_EQ(parallel.compile_stats().threads, 4u);
+  for (VertexId v = 0; v < fx.g.num_vertices(); ++v) {
+    ASSERT_EQ(serial.table_size(v), parallel.table_size(v));
+    for (const TableEntry& e : fx.scheme->table(v).entries()) {
+      const std::uint32_t a = serial.find(v, e.w);
+      const std::uint32_t b = parallel.find(v, e.w);
+      ASSERT_EQ(a, b);
+      ASSERT_NE(a, FlatScheme::kNotFound);
+      ASSERT_EQ(serial.dist(a), parallel.dist(b));
+      ASSERT_EQ(serial.own_dfs(a), parallel.own_dfs(b));
+      const auto pa = serial.own_light_ports(a);
+      const auto pb = parallel.own_light_ports(b);
+      ASSERT_TRUE(std::equal(pa.begin(), pa.end(), pb.begin(), pb.end()));
+    }
+    const ClusterDirectory& dir = fx.scheme->directory(v);
+    for (const VertexId t : dir.members()) {
+      const std::uint32_t a = serial.dir_find(v, t);
+      const std::uint32_t b = parallel.dir_find(v, t);
+      ASSERT_EQ(a, b);
+      ASSERT_EQ(serial.dir_dfs(a), parallel.dir_dfs(b));
+    }
+    const auto la = serial.label(v);
+    const auto lb = parallel.label(v);
+    ASSERT_EQ(la.size(), lb.size());
+    for (std::size_t j = 0; j < la.size(); ++j) {
+      ASSERT_EQ(la[j].w, lb[j].w);
+      ASSERT_EQ(la[j].dfs_in, lb[j].dfs_in);
+      ASSERT_EQ(la[j].light_len, lb[j].light_len);
     }
   }
 }

@@ -162,20 +162,6 @@ TEST(ArtifactRoundtrip, SetupThreadsDoNotChangeBytes) {
   }
 }
 
-TEST(ArtifactRoundtrip, FKSLookupRoundtrips) {
-  // The FKS perfect-hash indexes are derived state: not serialized,
-  // recomputed on decode from the stored hash seed. The re-encode is
-  // still byte-identical because the pools, not the indexes, are stored.
-  const Graph g = test_graph(6, 250);
-  RouteServiceOptions opt = base_options(SchemeKind::kTZDirect);
-  opt.flat_lookup = FlatLookup::kFKS;
-  const SchemePackagePtr pkg = build(g, opt);
-  const std::string bytes = persist::encode_package(*pkg, 2);
-  const SchemePackagePtr rt = persist::decode_package(bytes, opt);
-  ASSERT_NE(rt, nullptr);
-  EXPECT_TRUE(persist::encode_package(*rt, 2) == bytes);
-}
-
 // --- corruption matrix ---------------------------------------------------
 
 TEST(ArtifactCorruption, BitFlipsAnywhereRejectCleanly) {
@@ -265,6 +251,29 @@ TEST(ArtifactCorruption, LegacyServingPathByteRejects) {
   };
   expect_byte14_reason([&] { (void)persist::read_artifact_meta(mut); });
   expect_byte14_reason([&] { (void)persist::decode_package(mut, opt); });
+}
+
+// Header byte 15 once held the removed flat lookup layout; every artifact
+// this build writes carries 0 (Eytzinger) there. A 1 (a generation of the
+// deleted FKS layout, whose sorted slices the Eytzinger descent cannot
+// search) must be rejected by name, before the header CRC check runs.
+TEST(ArtifactCorruption, RemovedLookupLayoutByteRejects) {
+  const Graph g = test_graph(10, 120);
+  const RouteServiceOptions opt = base_options(SchemeKind::kTZDirect);
+  std::string mut = persist::encode_package(*build(g, opt), 1);
+  ASSERT_EQ(mut[15], 0);
+  mut[15] = 1;
+  const auto expect_byte15_reason = [](const auto& load) {
+    try {
+      load();
+      ADD_FAILURE() << "an FKS-layout artifact was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("byte 15"), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_byte15_reason([&] { (void)persist::read_artifact_meta(mut); });
+  expect_byte15_reason([&] { (void)persist::decode_package(mut, opt); });
 }
 
 // content_options_digest gates recovery: a service upgraded past the
