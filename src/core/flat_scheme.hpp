@@ -348,13 +348,6 @@ class FlatScheme {
   const FlatCompileStats& compile_stats() const noexcept { return stats_; }
 
  private:
-  /// The persistence codec (src/persist/artifact.cpp) reconstructs a
-  /// compiled view from its pooled bytes: default-construct, fill the
-  /// pools, rebind base_. Same friend-serializer pattern as
-  /// SchemeSerializer over TZScheme.
-  friend class ArtifactCodec;
-  FlatScheme() = default;
-
   void compile_tables(ThreadPool* pool);
   void compile_directories(ThreadPool* pool);
   void compile_labels(ThreadPool* pool);

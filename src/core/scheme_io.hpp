@@ -12,11 +12,19 @@
 /// every hop decided from a loaded scheme equals the original's (tested
 /// exhaustively in test_scheme_io). The optional FKS index is rebuilt on
 /// load (it is derived state; its randomness does not affect results).
+///
+/// This stream is the only stored copy of a TZ generation's routing
+/// state: artifact recovery (src/persist) loads it and recompiles the
+/// flat serving view from it. So the loader trusts nothing it reads —
+/// every count is bounded by the bytes left, and every vertex id, level
+/// and light-port slice the flat compile or the routers index through is
+/// range-checked; a corrupt stream throws std::invalid_argument.
 
 #pragma once
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "core/tz_scheme.hpp"
 
@@ -25,12 +33,14 @@ namespace croute {
 /// Writes \p scheme to \p os. Throws std::invalid_argument on I/O errors.
 void save_scheme(std::ostream& os, const TZScheme& scheme);
 
-/// Reads a scheme bound to \p g. Throws std::invalid_argument on format,
-/// version, or graph-fingerprint mismatch. The graph must outlive the
-/// returned scheme.
-TZScheme load_scheme(std::istream& is, const Graph& g);
+/// Reads a scheme bound to \p g from the bytes save_scheme wrote. Throws
+/// std::invalid_argument on format, version, or graph-fingerprint
+/// mismatch, and on any truncated or out-of-range field. The graph must
+/// outlive the returned scheme; \p bytes need not.
+TZScheme load_scheme(std::string_view bytes, const Graph& g);
 
-/// File convenience wrappers.
+/// File convenience wrappers (load_scheme_file reads the whole file, then
+/// calls load_scheme).
 void save_scheme_file(const std::string& path, const TZScheme& scheme);
 TZScheme load_scheme_file(const std::string& path, const Graph& g);
 

@@ -4,13 +4,13 @@
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
-#include <streambuf>
 #include <utility>
 #include <vector>
 
 #include "core/scheme_io.hpp"
 #include "simd/simd.hpp"
 #include "util/crc32c.hpp"
+#include "util/parallel.hpp"
 #include "util/random.hpp"
 #include "util/serialize.hpp"
 
@@ -22,11 +22,12 @@ constexpr std::uint64_t kMagic = 0x31616574756F7263ULL;
 
 // Section ids. An artifact carries whichever of these its package does;
 // the loader locates them by id, so the order on disk is irrelevant
-// (relocatable) and unknown future ids are a clean version-skew error,
-// never an out-of-bounds read.
+// (relocatable), and a section it does not look up is covered by the
+// whole-file CRC and otherwise skipped. Id 3 is retired, not free: older
+// artifacts store a copy of the compiled TZ pools (FLAT_TZ) there, which
+// this loader skips and recompiles from the TZ section instead.
 constexpr std::uint32_t kSecGraph = 1;      ///< edge list, rebuilt via GraphBuilder
-constexpr std::uint32_t kSecTZ = 2;         ///< scheme_io bytes (TZ preprocessing)
-constexpr std::uint32_t kSecFlatTZ = 3;     ///< FlatScheme pools
+constexpr std::uint32_t kSecTZ = 2;         ///< scheme_io bytes (TZ scheme)
 constexpr std::uint32_t kSecFlatCowen = 4;  ///< FlatCowen pools
 constexpr std::uint32_t kSecFlatFull = 5;   ///< FlatFullTable pools
 
@@ -36,98 +37,6 @@ constexpr std::uint32_t kMaxHostLen = 256;
 [[noreturn]] void reject(const std::string& what) {
   throw std::invalid_argument("artifact: " + what);
 }
-
-/// Bounds-checked little-endian reader over a byte span. Unlike
-/// BinaryReader (streams) this never copies payload bytes into an
-/// istream first — sections decode straight out of the mapped artifact —
-/// and every failure carries the absolute byte offset where it died.
-class SpanReader {
- public:
-  SpanReader(std::string_view bytes, std::uint64_t base_offset = 0)
-      : data_(bytes.data()), size_(bytes.size()), base_(base_offset) {}
-
-  std::uint64_t offset() const noexcept { return base_ + pos_; }
-  std::uint64_t remaining() const noexcept { return size_ - pos_; }
-
-  std::uint8_t u8() { return scalar<std::uint8_t>(); }
-  std::uint32_t u32() { return scalar<std::uint32_t>(); }
-  std::uint64_t u64() { return scalar<std::uint64_t>(); }
-  double f64() {
-    const std::uint64_t bits = scalar<std::uint64_t>();
-    double v;
-    std::memcpy(&v, &bits, 8);
-    return v;
-  }
-
-  template <typename T>
-  std::vector<T> vec_u32() {
-    static_assert(sizeof(T) == 4);
-    return vec<T>();
-  }
-  std::vector<std::uint64_t> vec_u64() { return vec<std::uint64_t>(); }
-  std::vector<double> vec_f64() { return vec<double>(); }
-
-  std::string str() {
-    const std::uint64_t len = u32();
-    if (len > kMaxHostLen) {
-      reject("implausible string length at byte offset " +
-             std::to_string(offset() - 4));
-    }
-    need(len);
-    std::string s(data_ + pos_, len);
-    pos_ += len;
-    return s;
-  }
-
- private:
-  template <typename T>
-  T scalar() {
-    static_assert(std::endian::native == std::endian::little,
-                  "big-endian hosts need byte swaps here");
-    need(sizeof(T));
-    T v;
-    std::memcpy(&v, data_ + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return v;
-  }
-  template <typename T>
-  std::vector<T> vec() {
-    const std::uint64_t count = u64();
-    // A hostile length prefix must fail here, not in operator new: the
-    // remaining span bounds what any honest count can be.
-    if (count > remaining() / sizeof(T)) {
-      reject("implausible array length at byte offset " +
-             std::to_string(offset() - 8));
-    }
-    std::vector<T> v(count);
-    if (count > 0) {
-      std::memcpy(v.data(), data_ + pos_, count * sizeof(T));
-      pos_ += count * sizeof(T);
-    }
-    return v;
-  }
-  void need(std::uint64_t bytes) {
-    if (bytes > remaining()) {
-      reject("truncated at byte offset " + std::to_string(offset()) +
-             " (wanted " + std::to_string(bytes) + " more bytes)");
-    }
-  }
-
-  const char* data_;
-  std::uint64_t size_;
-  std::uint64_t base_;  ///< absolute offset of data_[0] in the artifact
-  std::uint64_t pos_ = 0;
-};
-
-/// Read-only streambuf over artifact bytes, so the TZ section feeds
-/// scheme_io's istream loader without copying megabytes into a string.
-class MemBuf final : public std::streambuf {
- public:
-  MemBuf(const char* p, std::size_t n) {
-    char* b = const_cast<char*>(p);  // setg wants char*; we never write
-    setg(b, b, b + n);
-  }
-};
 
 struct Section {
   std::uint32_t id = 0;
@@ -146,7 +55,6 @@ const char* section_name(std::uint32_t id) {
   switch (id) {
     case kSecGraph: return "GRAPH";
     case kSecTZ: return "TZ";
-    case kSecFlatTZ: return "FLAT_TZ";
     case kSecFlatCowen: return "FLAT_COWEN";
     case kSecFlatFull: return "FLAT_FULL";
   }
@@ -155,147 +63,15 @@ const char* section_name(std::uint32_t id) {
 
 }  // namespace
 
-/// The friend serializer FlatScheme/FlatCowen/FlatFullTable grant pool
-/// access to (the SchemeSerializer pattern scheme_io uses over TZScheme).
-/// Not in the anonymous namespace — the friend declarations name
+/// The friend serializer FlatCowen/FlatFullTable grant pool access to
+/// (the SchemeSerializer pattern scheme_io uses over TZScheme). Not in
+/// the anonymous namespace — the friend declarations name
 /// croute::ArtifactCodec. Encode writes pools verbatim; decode fills a
-/// default-constructed view, validates every CSR invariant the routers
-/// rely on, and rebinds the base pointer. Nothing is recomputed: the
-/// pools are the whole serving state.
+/// default-constructed view, validates every invariant the routers rely
+/// on, and rebinds the graph pointer. The baselines' preprocessing is not
+/// stored, so these pools are their whole serving state.
 class ArtifactCodec {
  public:
-  // --- FlatScheme -----------------------------------------------------------
-  static void encode_flat(BinaryWriter& w, const FlatScheme& f) {
-    // Former lookup-layout byte and FKS hash seed, fixed at their
-    // Eytzinger values so the section layout stays what predecessors
-    // wrote (see decode_flat).
-    w.u8(0);
-    w.u64(0);
-    w.vec_u32(f.tbl_off_);
-    w.vec_u32(f.tbl_key_);
-    w.u64(f.tbl_record_.size());
-    for (const TreeNodeRecord& r : f.tbl_record_) {
-      w.u32(r.dfs_in);
-      w.u32(r.dfs_out);
-      w.u32(r.heavy_in);
-      w.u32(r.heavy_out);
-      w.u32(r.heavy_port);
-      w.u32(r.parent_port);
-      w.u32(r.light_depth);
-    }
-    w.vec_f64(f.tbl_dist_);
-    w.vec_u32(f.tbl_level_);
-    w.vec_u32(f.tbl_own_dfs_);
-    w.vec_u32(f.tbl_own_light_off_);
-    w.vec_u32(f.tbl_own_light_len_);
-    w.vec_u32(f.tbl_light_pool_);
-    w.vec_u32(f.dir_off_);
-    w.vec_u32(f.dir_key_);
-    w.vec_u32(f.dir_dfs_);
-    w.vec_u32(f.dir_light_off_);
-    w.vec_u32(f.dir_light_len_);
-    w.vec_u32(f.dir_light_pool_);
-    w.vec_u32(f.lab_off_);
-    w.u64(f.lab_entries_.size());
-    for (const FlatScheme::LabelEntryView& e : f.lab_entries_) {
-      w.u32(e.level);
-      w.u32(e.w);
-      w.f64(e.dist);
-      w.u32(e.dfs_in);
-      w.u32(e.light_off);
-      w.u32(e.light_len);
-    }
-    w.vec_u32(f.lab_light_pool_);
-    w.vec_u64(f.bits_by_len_);
-    w.u64(f.header_fixed_bits_);
-    w.u32(f.port_bits_);
-  }
-
-  static std::unique_ptr<const FlatScheme> decode_flat(SpanReader& r,
-                                                       const TZScheme& tz) {
-    std::unique_ptr<FlatScheme> f(new FlatScheme());
-    // The layout byte once selected FKS (1), whose slices were sorted
-    // rather than Eytzinger-ordered: such pools would answer wrongly.
-    if (r.u8() != 0) {
-      reject("FLAT_TZ: lookup layout byte is not 0 (Eytzinger): the "
-             "pools were written for the removed FKS layout");
-    }
-    r.u64();  // former FKS hash seed: carries nothing
-    f->tbl_off_ = r.vec_u32<std::uint32_t>();
-    f->tbl_key_ = r.vec_u32<VertexId>();
-    const std::uint64_t nrec = r.u64();
-    if (nrec != f->tbl_key_.size()) reject("FLAT_TZ: record/key count mismatch");
-    f->tbl_record_.resize(nrec);
-    for (TreeNodeRecord& rec : f->tbl_record_) {
-      rec.dfs_in = r.u32();
-      rec.dfs_out = r.u32();
-      rec.heavy_in = r.u32();
-      rec.heavy_out = r.u32();
-      rec.heavy_port = r.u32();
-      rec.parent_port = r.u32();
-      rec.light_depth = r.u32();
-    }
-    f->tbl_dist_ = r.vec_f64();
-    f->tbl_level_ = r.vec_u32<std::uint32_t>();
-    f->tbl_own_dfs_ = r.vec_u32<std::uint32_t>();
-    f->tbl_own_light_off_ = r.vec_u32<std::uint32_t>();
-    f->tbl_own_light_len_ = r.vec_u32<std::uint32_t>();
-    f->tbl_light_pool_ = r.vec_u32<Port>();
-    check_csr("FLAT_TZ tables", tz.graph().num_vertices(), f->tbl_off_,
-              f->tbl_key_.size());
-    if (f->tbl_dist_.size() != nrec || f->tbl_level_.size() != nrec ||
-        f->tbl_own_dfs_.size() != nrec || f->tbl_own_light_off_.size() != nrec ||
-        f->tbl_own_light_len_.size() != nrec) {
-      reject("FLAT_TZ: table payload arrays disagree on entry count");
-    }
-    check_slices("FLAT_TZ own-light", f->tbl_own_light_off_,
-                 f->tbl_own_light_len_, f->tbl_light_pool_.size());
-
-    f->dir_off_ = r.vec_u32<std::uint32_t>();
-    f->dir_key_ = r.vec_u32<VertexId>();
-    f->dir_dfs_ = r.vec_u32<std::uint32_t>();
-    f->dir_light_off_ = r.vec_u32<std::uint32_t>();
-    f->dir_light_len_ = r.vec_u32<std::uint32_t>();
-    f->dir_light_pool_ = r.vec_u32<Port>();
-    check_csr("FLAT_TZ directories", tz.graph().num_vertices(), f->dir_off_,
-              f->dir_key_.size());
-    if (f->dir_dfs_.size() != f->dir_key_.size() ||
-        f->dir_light_off_.size() != f->dir_key_.size() ||
-        f->dir_light_len_.size() != f->dir_key_.size()) {
-      reject("FLAT_TZ: directory payload arrays disagree on entry count");
-    }
-    check_slices("FLAT_TZ dir-light", f->dir_light_off_, f->dir_light_len_,
-                 f->dir_light_pool_.size());
-
-    f->lab_off_ = r.vec_u32<std::uint32_t>();
-    const std::uint64_t nlab = r.u64();
-    f->lab_entries_.resize(nlab);
-    for (FlatScheme::LabelEntryView& e : f->lab_entries_) {
-      e.level = r.u32();
-      e.w = r.u32();
-      e.dist = r.f64();
-      e.dfs_in = r.u32();
-      e.light_off = r.u32();
-      e.light_len = r.u32();
-    }
-    f->lab_light_pool_ = r.vec_u32<Port>();
-    check_csr("FLAT_TZ labels", tz.graph().num_vertices(), f->lab_off_, nlab);
-    for (const FlatScheme::LabelEntryView& e : f->lab_entries_) {
-      if (std::uint64_t{e.light_off} + e.light_len >
-          f->lab_light_pool_.size()) {
-        reject("FLAT_TZ: label light slice out of pool bounds");
-      }
-    }
-    f->bits_by_len_ = r.vec_u64();
-    f->header_fixed_bits_ = r.u64();
-    f->port_bits_ = r.u32();
-
-    f->base_ = &tz;
-    f->stats_.pool_bytes = f->pool_bytes();
-    f->stats_.threads = 1;
-    return f;
-  }
-
   // --- FlatCowen ------------------------------------------------------------
   static void encode_cowen(BinaryWriter& w, const FlatCowen& c) {
     w.u32(c.n_);
@@ -390,16 +166,6 @@ class ArtifactCodec {
     for (std::size_t i = 1; i < off.size(); ++i) {
       if (off[i] < off[i - 1]) {
         reject(std::string(what) + ": CSR offsets not monotone");
-      }
-    }
-  }
-  static void check_slices(const char* what,
-                           const std::vector<std::uint32_t>& offs,
-                           const std::vector<std::uint32_t>& lens,
-                           std::uint64_t pool) {
-    for (std::size_t i = 0; i < offs.size(); ++i) {
-      if (std::uint64_t{offs[i]} + lens[i] > pool) {
-        reject(std::string(what) + ": slice out of pool bounds");
       }
     }
   }
@@ -529,7 +295,7 @@ ParsedHeader parse_header(std::string_view bytes) {
   h.meta.options_digest = r.u64();
   h.meta.graph_digest = r.u64();
   h.meta.generation = r.u64();
-  h.meta.build_host = r.str();
+  h.meta.build_host = r.str(kMaxHostLen);
   const std::uint32_t nsec = r.u32();
   if (nsec == 0 || nsec > kMaxSections) {
     reject("implausible section count in header");
@@ -641,9 +407,6 @@ std::string encode_package(const SchemePackage& pkg,
     encode(w, view);
     payloads.emplace_back(id, std::move(os).str());
   };
-  if (pkg.flat != nullptr) {
-    pooled(kSecFlatTZ, *pkg.flat, ArtifactCodec::encode_flat);
-  }
   if (pkg.flat_cowen != nullptr) {
     pooled(kSecFlatCowen, *pkg.flat_cowen, ArtifactCodec::encode_cowen);
   }
@@ -746,16 +509,12 @@ SchemePackagePtr decode_package(std::string_view bytes,
   const bool is_tz = serving.scheme == SchemeKind::kTZDirect ||
                      serving.scheme == SchemeKind::kTZHandshake;
   if (is_tz) {
-    const std::string_view tz_bytes = section_bytes(bytes, h, kSecTZ);
-    MemBuf buf(tz_bytes.data(), tz_bytes.size());
-    std::istream is(&buf);
-    pkg->tz = std::make_unique<const TZScheme>(load_scheme(is, g));
-    const Section* sec = find_section(h, kSecFlatTZ);
-    const std::string_view fb = section_bytes(bytes, h, kSecFlatTZ);
-    SpanReader r(fb, sec->offset);
-    pkg->flat = ArtifactCodec::decode_flat(r, *pkg->tz);
-    pkg->flat_router = std::make_unique<const FlatRouter>(*pkg->flat);
-    pkg->flat_stats = pkg->flat->compile_stats();
+    pkg->tz = std::make_unique<const TZScheme>(
+        load_scheme(section_bytes(bytes, h, kSecTZ), g));
+    // The flat view is derived state: compile it exactly as a fresh
+    // build does, on a set-up pool sized the same way.
+    const std::unique_ptr<ThreadPool> pool = make_setup_pool(serving);
+    compile_flat_view(*pkg, pool.get());
   } else if (serving.scheme == SchemeKind::kCowen) {
     const Section* sec = find_section(h, kSecFlatCowen);
     const std::string_view cb = section_bytes(bytes, h, kSecFlatCowen);

@@ -3,11 +3,11 @@
 /// relocatable container for one full SchemePackage generation.
 ///
 /// A million-user routing service must survive being killed; paying full
-/// TZ preprocessing plus flat compilation on every start is the cost this
-/// tier removes. An artifact carries everything a generation serves from —
-/// the graph copy, the TZ preprocessing (scheme_io bytes), and the
-/// compiled flat pools for EVERY SchemeKind (the old warm-start path
-/// covered TZ only) — so a restart is a read + verify + pointer fix-up,
+/// TZ preprocessing on every start is the cost this tier removes. An
+/// artifact carries each generation's state once — the graph copy, plus
+/// the TZ routing state (scheme_io bytes: tables, directories, labels)
+/// for the TZ kinds or the compiled pools for the baselines, whose
+/// preprocessing is not stored — so a restart is a read + verify + load,
 /// not a rebuild.
 ///
 /// Layout (all little-endian, util/serialize.hpp):
@@ -17,8 +17,8 @@
 ///            fingerprint, generation number, build host/ISA stamp) ·
 ///            section table (id, absolute offset, size, CRC32C each) ·
 ///            CRC32C of the header bytes
-///   payload  sections back to back (GRAPH, TZ, FLAT_TZ, FLAT_COWEN,
-///            FLAT_FULL — whichever the package carries)
+///   payload  sections back to back (GRAPH, then TZ for the TZ kinds,
+///            FLAT_COWEN or FLAT_FULL for the baselines)
 ///   trailer  CRC32C of everything before it (whole-file)
 ///
 /// The dual stamps — format version for the *container*, the metadata
@@ -27,15 +27,17 @@
 /// per-section sums then localize any corruption to the section that
 /// rotted. Loaded state is byte-identical to a fresh build on the same
 /// (graph, options): the TZ bytes go through scheme_io's proven
-/// round-trip, and the flat pools (bits-by-length tables included) are
-/// stored verbatim — no derived state is recomputed on load.
+/// round-trip, and the flat serving view is derived state — recovery
+/// recompiles it with the fresh build's own compile, on a set-up pool
+/// sized by compile_threads. The baseline pools are stored verbatim.
 ///
-/// Two header bytes and one FLAT_TZ field outlive the options they held,
-/// so a predecessor's artifacts keep their layout and still recover:
-/// byte 14 (former use_flat) is written as 1 and byte 15 (former flat
-/// lookup layout) as 0, a loader rejects any other value with a reason
-/// naming the byte, and the FLAT_TZ u64 that held the FKS hash seed is
-/// written as 0 and ignored on read.
+/// Two header bytes and one section id outlive what they held, so a
+/// predecessor's artifacts keep their layout and still recover: byte 14
+/// (former use_flat) is written as 1 and byte 15 (former flat lookup
+/// layout) as 0, and a loader rejects any other value with a reason
+/// naming the byte; section id 3 (a stored copy of the compiled TZ
+/// pools) is no longer written, and one found in an older artifact is
+/// covered by the whole-file CRC and otherwise skipped.
 ///
 /// Everything here is pure bytes-in/bytes-out; the atomic file lifecycle
 /// (tmp → fsync → rename, MANIFEST, retention, fault injection) lives in

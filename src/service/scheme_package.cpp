@@ -87,6 +87,23 @@ std::uint64_t SchemePackage::table_bits(VertexId v) const {
   return 0;
 }
 
+std::unique_ptr<ThreadPool> make_setup_pool(
+    const RouteServiceOptions& options) {
+  const unsigned threads = options.compile_threads != 0
+                               ? options.compile_threads
+                               : worker_count();
+  if (threads <= 1) return nullptr;
+  return std::make_unique<ThreadPool>(threads);
+}
+
+void compile_flat_view(SchemePackage& pkg, ThreadPool* pool) {
+  FlatSchemeOptions fopt;
+  fopt.pool = pool;
+  pkg.flat = std::make_unique<const FlatScheme>(*pkg.tz, fopt);
+  pkg.flat_router = std::make_unique<const FlatRouter>(*pkg.flat);
+  pkg.flat_stats = pkg.flat->compile_stats();
+}
+
 namespace {
 
 /// Shared body of the two public builders. When \p previous is non-null
@@ -127,16 +144,8 @@ SchemePackagePtr build_package(std::shared_ptr<const Graph> graph,
     case SchemeKind::kTZHandshake: {
       // One set-up pool, created before preprocessing and shared by the
       // TZ build (sampling, cluster sweep, finalize) and the flat
-      // compile; both produce the same bytes at every pool size. Serial
-      // when one thread is asked for — a pool would only add queue
-      // overhead.
-      const unsigned setup_threads = options.compile_threads != 0
-                                         ? options.compile_threads
-                                         : worker_count();
-      std::unique_ptr<ThreadPool> setup_pool;
-      if (setup_threads > 1) {
-        setup_pool = std::make_unique<ThreadPool>(setup_threads);
-      }
+      // compile; both produce the same bytes at every pool size.
+      const std::unique_ptr<ThreadPool> setup_pool = make_setup_pool(options);
       ThreadPool* pool = setup_pool.get();
       TZSchemeOptions opt;
       opt.pre.k = options.k;
@@ -156,11 +165,7 @@ SchemePackagePtr build_package(std::shared_ptr<const Graph> graph,
         pkg->tz = std::make_unique<const TZScheme>(g, opt, rng, pool,
                                                    &pkg->tz_phases);
       }
-      FlatSchemeOptions fopt;
-      fopt.pool = pool;
-      pkg->flat = std::make_unique<const FlatScheme>(*pkg->tz, fopt);
-      pkg->flat_router = std::make_unique<const FlatRouter>(*pkg->flat);
-      pkg->flat_stats = pkg->flat->compile_stats();
+      compile_flat_view(*pkg, pool);
       break;
     }
     case SchemeKind::kCowen: {

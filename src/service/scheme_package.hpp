@@ -184,6 +184,19 @@ struct SchemePackage {
 
 using SchemePackagePtr = std::shared_ptr<const SchemePackage>;
 
+/// The set-up pool a TZ generation is built or recovered on:
+/// options.compile_threads workers (0 = worker_count()), or null — serial
+/// — when that comes to one thread, where a pool would only add queue
+/// overhead. Fresh builds, rebuilds and artifact recovery all size their
+/// pool here.
+std::unique_ptr<ThreadPool> make_setup_pool(const RouteServiceOptions& options);
+
+/// Compiles pkg.tz into the flat serving view (flat, flat_router,
+/// flat_stats) on \p pool (nullptr = serial). Builds and artifact
+/// recovery run this one compile, so a recovered generation's pools are
+/// the fresh build's bytes.
+void compile_flat_view(SchemePackage& pkg, ThreadPool* pool);
+
 /// Preprocesses \p graph under \p options into a fresh package.
 /// Deterministic: (graph, options) fixes every byte of the result, so a
 /// hot-swapped generation is indistinguishable from a fresh service's.

@@ -3,21 +3,25 @@
 ///
 /// Fixed little-endian layout, explicit sizes, a magic/version header per
 /// top-level object, and fail-loud reads (std::invalid_argument on
-/// truncation or corruption). Both ends track the byte offset consumed or
-/// produced so far, and every failure message carries it — a truncated or
+/// truncation or corruption). BinaryWriter streams to an ostream;
+/// SpanReader reads back from bytes already in memory — a loaded file or
+/// a section of an artifact — and bounds every length prefix by the
+/// bytes left, so a corrupt count cannot allocate more than the input
+/// could describe. Both ends track the byte offset consumed or produced
+/// so far, and every failure message carries it — a truncated or
 /// bit-flipped stream reports *where* it died, which is what makes the
 /// persistence tier's corruption diagnostics actionable. Used by
-/// core/scheme_io and src/persist to persist preprocessed routing schemes
-/// so that routers can load tables instead of re-running preprocessing.
+/// core/scheme_io and src/persist.
 
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <istream>
 #include <ostream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -75,16 +79,21 @@ class BinaryWriter {
   std::uint64_t offset_ = 0;
 };
 
-/// Streaming binary reader; throws std::invalid_argument on short reads.
-class BinaryReader {
+/// Bounds-checked little-endian reader over a byte span: the one binary
+/// reader. It decodes in place (no copy into an istream first), and every
+/// failure throws std::invalid_argument carrying the absolute byte offset
+/// where it died.
+class SpanReader {
  public:
-  explicit BinaryReader(std::istream& is) : is_(&is) {}
+  /// \p base_offset is the absolute offset of bytes[0] in the enclosing
+  /// file, so a section reader reports file offsets, not section ones.
+  explicit SpanReader(std::string_view bytes, std::uint64_t base_offset = 0)
+      : data_(bytes.data()), size_(bytes.size()), base_(base_offset) {}
 
-  std::uint8_t u8() {
-    std::uint8_t v;
-    raw(&v, 1);
-    return v;
-  }
+  std::uint64_t offset() const noexcept { return base_ + pos_; }
+  std::uint64_t remaining() const noexcept { return size_ - pos_; }
+
+  std::uint8_t u8() { return scalar<std::uint8_t>(); }
   std::uint32_t u32() { return scalar<std::uint32_t>(); }
   std::uint64_t u64() { return scalar<std::uint64_t>(); }
   double f64() {
@@ -94,59 +103,75 @@ class BinaryReader {
     return v;
   }
 
+  /// Reads a u64 element count and rejects it unless the bytes left can
+  /// hold that many elements of at least \p min_elem_bytes each. A
+  /// hostile length prefix must fail here, not in operator new: the
+  /// remaining span bounds what any honest count can be.
+  std::uint64_t count(std::uint64_t min_elem_bytes) {
+    const std::uint64_t n = u64();
+    if (n > remaining() / min_elem_bytes) {
+      fail("implausible array length at byte offset " +
+           std::to_string(offset() - 8));
+    }
+    return n;
+  }
+
   template <typename T>
   std::vector<T> vec_u32() {
     static_assert(sizeof(T) == 4);
-    const std::uint64_t count = checked_count(4);
-    std::vector<T> v(count);
-    if (count > 0) raw(v.data(), count * 4);
-    return v;
+    return vec<T>();
   }
-  std::vector<std::uint64_t> vec_u64() {
-    const std::uint64_t count = checked_count(8);
-    std::vector<std::uint64_t> v(count);
-    if (count > 0) raw(v.data(), count * 8);
-    return v;
-  }
-  std::vector<double> vec_f64() {
-    const std::uint64_t count = checked_count(8);
-    std::vector<double> v(count);
-    if (count > 0) raw(v.data(), count * 8);
-    return v;
-  }
+  std::vector<std::uint64_t> vec_u64() { return vec<std::uint64_t>(); }
+  std::vector<double> vec_f64() { return vec<double>(); }
 
-  /// Bytes consumed so far. Failure messages carry this, so "truncated
-  /// stream at byte 80481" points a corruption report at the section that
-  /// died instead of at "somewhere".
-  std::uint64_t offset() const noexcept { return offset_; }
+  /// u32-length-prefixed string of at most \p max_len bytes.
+  std::string str(std::uint32_t max_len) {
+    const std::uint32_t len = u32();
+    if (len > max_len) {
+      fail("implausible string length at byte offset " +
+           std::to_string(offset() - 4));
+    }
+    need(len);
+    std::string s(data_ + pos_, len);
+    pos_ += len;
+    return s;
+  }
 
  private:
+  [[noreturn]] static void fail(const std::string& what) {
+    throw std::invalid_argument(what);
+  }
   template <typename T>
   T scalar() {
     static_assert(std::endian::native == std::endian::little,
                   "big-endian hosts need byte swaps here");
+    need(sizeof(T));
     T v;
-    raw(&v, sizeof v);
+    std::memcpy(&v, data_ + pos_, sizeof(T));
+    pos_ += sizeof(T);
     return v;
   }
-  std::uint64_t checked_count(std::uint64_t elem_bytes) {
-    const std::uint64_t count = u64();
-    // Guard against hostile/corrupt length prefixes.
-    CROUTE_REQUIRE(count < (std::uint64_t{1} << 40) / elem_bytes,
-                   "implausible array length in stream at byte offset " +
-                       std::to_string(offset_ - 8));
-    return count;
+  template <typename T>
+  std::vector<T> vec() {
+    const std::uint64_t n = count(sizeof(T));
+    std::vector<T> v(n);
+    if (n > 0) {
+      std::memcpy(v.data(), data_ + pos_, n * sizeof(T));
+      pos_ += n * sizeof(T);
+    }
+    return v;
   }
-  void raw(void* p, std::size_t bytes) {
-    is_->read(static_cast<char*>(p), static_cast<std::streamsize>(bytes));
-    CROUTE_REQUIRE(is_->gcount() == static_cast<std::streamsize>(bytes),
-                   "truncated stream at byte offset " +
-                       std::to_string(offset_) + " (wanted " +
-                       std::to_string(bytes) + " more bytes)");
-    offset_ += bytes;
+  void need(std::uint64_t bytes) {
+    if (bytes > remaining()) {
+      fail("truncated at byte offset " + std::to_string(offset()) +
+           " (wanted " + std::to_string(bytes) + " more bytes)");
+    }
   }
-  std::istream* is_;
-  std::uint64_t offset_ = 0;
+
+  const char* data_;
+  std::uint64_t size_;
+  std::uint64_t base_;
+  std::uint64_t pos_ = 0;
 };
 
 }  // namespace croute

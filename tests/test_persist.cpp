@@ -16,11 +16,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -96,6 +99,108 @@ void refresh_file_crc(std::string& bytes) {
   }
 }
 
+/// Appends a section with id \p id to a valid artifact, as a writer that
+/// emitted one more section would have laid it out: one more section-table
+/// row (shifting every payload offset by the row), the payload after the
+/// last section, and fresh header and whole-file CRCs. Header layout:
+/// persist/artifact.cpp write_header — the build-host length is a u32 at
+/// byte 57, followed by the host bytes, the section count and the table.
+std::string with_extra_section(const std::string& bytes, std::uint32_t id,
+                               const std::string& payload) {
+  constexpr std::size_t kHostLenAt = 57;
+  constexpr std::size_t kRow = 4 + 8 + 8 + 4;  // id, offset, size, crc
+  const auto get32 = [&](std::size_t at) {
+    std::uint32_t v;
+    std::memcpy(&v, bytes.data() + at, 4);
+    return v;
+  };
+  const auto put = [](std::string& out, std::size_t at, auto v) {
+    std::memcpy(out.data() + at, &v, sizeof v);
+  };
+  const std::size_t nsec_at = kHostLenAt + 4 + get32(kHostLenAt);
+  const std::uint32_t nsec = get32(nsec_at);
+  const std::size_t table_at = nsec_at + 4;
+  const std::size_t header_crc_at = table_at + kRow * nsec;
+  const std::string payloads =
+      bytes.substr(header_crc_at + 4, bytes.size() - header_crc_at - 8);
+
+  std::string out = bytes.substr(0, header_crc_at);
+  put(out, nsec_at, nsec + 1);
+  for (std::uint32_t i = 0; i < nsec; ++i) {
+    const std::size_t off_at = table_at + kRow * i + 4;
+    std::uint64_t off;
+    std::memcpy(&off, out.data() + off_at, 8);
+    put(out, off_at, off + kRow);
+  }
+  const std::size_t row_at = out.size();
+  out.resize(row_at + kRow);
+  put(out, row_at, id);
+  put(out, row_at + 4,
+      std::uint64_t{out.size() + 4 + payloads.size()});  // + header CRC
+  put(out, row_at + 12, std::uint64_t{payload.size()});
+  put(out, row_at + 20, crc32c(payload.data(), payload.size()));
+  const std::uint32_t header_crc = crc32c(out.data(), out.size());
+  out.append(reinterpret_cast<const char*>(&header_crc), 4);
+  out += payloads;
+  out += payload;
+  out.append(4, '\0');
+  refresh_file_crc(out);
+  return out;
+}
+
+/// Asserts two compiled flat views hold the same pools, slice by slice,
+/// through the public accessors (\p a's base scheme supplies the keys).
+void expect_same_flat(const FlatScheme& a, const FlatScheme& b) {
+  ASSERT_EQ(a.pool_bytes(), b.pool_bytes());
+  const auto same_ports = [](std::span<const Port> x,
+                             std::span<const Port> y) {
+    return std::equal(x.begin(), x.end(), y.begin(), y.end());
+  };
+  const TZScheme& tz = a.base();
+  const VertexId n = tz.graph().num_vertices();
+  ASSERT_EQ(b.graph().num_vertices(), n);
+  std::uint32_t tbl = 0, dir = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    ASSERT_EQ(a.table_size(v), b.table_size(v)) << "vertex " << v;
+    for (const TableEntry& e : tz.table(v).entries()) {
+      ASSERT_EQ(a.find(v, e.w), b.find(v, e.w)) << "vertex " << v;
+    }
+    for (const std::uint32_t end = tbl + a.table_size(v); tbl < end; ++tbl) {
+      ASSERT_EQ(std::memcmp(&a.record(tbl), &b.record(tbl),
+                            sizeof(TreeNodeRecord)),
+                0);
+      ASSERT_EQ(a.dist(tbl), b.dist(tbl));
+      ASSERT_EQ(a.level(tbl), b.level(tbl));
+      ASSERT_EQ(a.own_dfs(tbl), b.own_dfs(tbl));
+      ASSERT_TRUE(same_ports(a.own_light_ports(tbl), b.own_light_ports(tbl)));
+    }
+    ASSERT_EQ(a.dir_size(v), b.dir_size(v)) << "vertex " << v;
+    for (const VertexId t : tz.directory(v).members()) {
+      ASSERT_EQ(a.dir_find(v, t), b.dir_find(v, t)) << "vertex " << v;
+    }
+    for (const std::uint32_t end = dir + a.dir_size(v); dir < end; ++dir) {
+      ASSERT_EQ(a.dir_dfs(dir), b.dir_dfs(dir));
+      ASSERT_TRUE(same_ports(a.dir_light_ports(dir), b.dir_light_ports(dir)));
+    }
+    const auto la = a.label(v);
+    const auto lb = b.label(v);
+    ASSERT_EQ(la.size(), lb.size()) << "vertex " << v;
+    for (std::size_t i = 0; i < la.size(); ++i) {
+      ASSERT_EQ(la[i].level, lb[i].level);
+      ASSERT_EQ(la[i].w, lb[i].w);
+      ASSERT_EQ(la[i].dist, lb[i].dist);
+      ASSERT_EQ(la[i].dfs_in, lb[i].dfs_in);
+      ASSERT_EQ(la[i].light_off, lb[i].light_off);
+      ASSERT_TRUE(same_ports(a.label_light_ports(la[i]),
+                             b.label_light_ports(lb[i])));
+    }
+  }
+  ASSERT_EQ(a.header_bits_table_len(), b.header_bits_table_len());
+  for (std::uint32_t len = 0; len <= a.header_bits_table_len() + 2; ++len) {
+    ASSERT_EQ(a.header_bits_for(len), b.header_bits_for(len)) << len;
+  }
+}
+
 // --- codec round trip ----------------------------------------------------
 
 class ArtifactRoundtrip : public ::testing::TestWithParam<SchemeKind> {};
@@ -159,6 +264,63 @@ TEST(ArtifactRoundtrip, SetupThreadsDoNotChangeBytes) {
     EXPECT_GT(parallel->tz_phases.cluster_sweep_s, 0);
     EXPECT_TRUE(persist::encode_package(*parallel, 1) == serial)
         << scheme_name(kind);
+  }
+}
+
+// The flat view is not stored: recovery recompiles it from the TZ
+// section. The recompiled pools must equal a fresh serial compile's,
+// slice by slice, whether recovery compiles serially or on a pool.
+TEST(ArtifactRoundtrip, RecoveredFlatPoolsMatchFreshCompile) {
+  const Graph g = test_graph(4, 600);
+  for (const SchemeKind kind :
+       {SchemeKind::kTZDirect, SchemeKind::kTZHandshake}) {
+    RouteServiceOptions opt = base_options(kind);
+    opt.compile_threads = 1;
+    const SchemePackagePtr fresh = build(g, opt);
+    const std::string bytes = persist::encode_package(*fresh, 1);
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(scheme_name(kind)) + ", compile_threads " +
+                   std::to_string(threads));
+      opt.compile_threads = threads;
+      const SchemePackagePtr rt = persist::decode_package(bytes, opt);
+      ASSERT_NE(rt->flat, nullptr);
+      ASSERT_NE(rt->flat_router, nullptr);
+      EXPECT_EQ(rt->flat_stats.threads, threads);
+      expect_same_flat(*fresh->flat, *rt->flat);
+    }
+  }
+}
+
+// Artifacts written while the compiled TZ pools were still stored carry
+// them as section 3. Such an artifact must recover to the same answers:
+// the extra section is covered by the whole-file CRC and otherwise
+// skipped, and the recovered generation re-encodes without it.
+TEST(ArtifactRoundtrip, StoredFlatSectionOfAnOlderArtifactIsSkipped) {
+  const Graph g = test_graph(6);
+  const std::vector<RouteQuery> queries = probe_queries(g, 800);
+  for (const SchemeKind kind :
+       {SchemeKind::kTZDirect, SchemeKind::kTZHandshake}) {
+    SCOPED_TRACE(scheme_name(kind));
+    const RouteServiceOptions opt = base_options(kind);
+    const std::string bytes = persist::encode_package(*build(g, opt), 1);
+    const std::string older =
+        with_extra_section(bytes, 3, std::string(4096, '\x3c'));
+    ASSERT_GT(older.size(), bytes.size());
+    EXPECT_EQ(persist::read_artifact_meta(older).generation, 1u);
+    const SchemePackagePtr rt = persist::decode_package(older, opt);
+    EXPECT_TRUE(persist::encode_package(*rt, 1) == bytes);
+
+    RouteService svc(g, opt);
+    const std::vector<RouteAnswer> expected = svc.route_collect(queries);
+    svc.publish(rt);
+    expect_same_answers(svc.route_collect(queries), expected,
+                        "recovered from the older layout");
+
+    // Skipped, not unchecked: rot in section 3 fails the file CRC.
+    std::string rotten = older;
+    const std::size_t at = older.size() - 100;
+    rotten[at] = static_cast<char>(rotten[at] ^ 0x01);
+    EXPECT_THROW(persist::decode_package(rotten, opt), std::invalid_argument);
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include <sstream>
 
+#include "core/flat_scheme.hpp"
 #include "core/tz_router.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
@@ -36,7 +37,7 @@ TEST(SchemeIo, RoundTripPreservesEveryHeaderAndTable) {
 
   std::stringstream ss;
   save_scheme(ss, original);
-  const TZScheme loaded = load_scheme(ss, g);
+  const TZScheme loaded = load_scheme(ss.str(), g);
 
   ASSERT_EQ(loaded.k(), original.k());
   const TZRouter r1(original), r2(loaded);
@@ -65,7 +66,7 @@ TEST(SchemeIo, LoadedSchemeRoutesIdentically) {
   const TZScheme original = make_scheme(g, 2, 9);
   std::stringstream ss;
   save_scheme(ss, original);
-  const TZScheme loaded = load_scheme(ss, g);
+  const TZScheme loaded = load_scheme(ss.str(), g);
   const Simulator sim(g);
   const auto pairs = sample_pairs(g, 400, rng);
   for (const auto& p : pairs) {
@@ -84,7 +85,7 @@ TEST(SchemeIo, HashIndexRebuiltOnLoad) {
   const TZScheme original = make_scheme(g, 3, 11, /*hash_index=*/true);
   std::stringstream ss;
   save_scheme(ss, original);
-  const TZScheme loaded = load_scheme(ss, g);
+  const TZScheme loaded = load_scheme(ss.str(), g);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     ASSERT_TRUE(loaded.table(v).has_hash_index());
     for (const TableEntry& e : original.table(v).entries()) {
@@ -101,7 +102,7 @@ TEST(SchemeIo, CarriedDistancesSurvive) {
       make_scheme(g, 3, 13, false, /*carry=*/true);
   std::stringstream ss;
   save_scheme(ss, original);
-  const TZScheme loaded = load_scheme(ss, g);
+  const TZScheme loaded = load_scheme(ss.str(), g);
   for (VertexId t = 0; t < g.num_vertices(); ++t) {
     const auto& a = original.label(t).entries;
     const auto& b = loaded.label(t).entries;
@@ -125,7 +126,7 @@ TEST(SchemeIo, WrongGraphRejected) {
   const TZScheme original = make_scheme(g, 2, 15);
   std::stringstream ss;
   save_scheme(ss, original);
-  EXPECT_THROW(load_scheme(ss, other), std::invalid_argument);
+  EXPECT_THROW(load_scheme(ss.str(), other), std::invalid_argument);
 }
 
 TEST(SchemeIo, ReweightedGraphRejected) {
@@ -136,7 +137,7 @@ TEST(SchemeIo, ReweightedGraphRejected) {
   const TZScheme original = make_scheme(g1, 2, 17);
   std::stringstream ss;
   save_scheme(ss, original);
-  EXPECT_THROW(load_scheme(ss, g2), std::invalid_argument);
+  EXPECT_THROW(load_scheme(ss.str(), g2), std::invalid_argument);
 }
 
 TEST(SchemeIo, TruncatedStreamRejected) {
@@ -148,18 +149,48 @@ TEST(SchemeIo, TruncatedStreamRejected) {
   save_scheme(ss, original);
   const std::string full = ss.str();
   for (const double frac : {0.1, 0.5, 0.9, 0.999}) {
-    std::stringstream cut(
-        full.substr(0, static_cast<std::size_t>(
-                           static_cast<double>(full.size()) * frac)));
+    const std::string cut = full.substr(
+        0, static_cast<std::size_t>(static_cast<double>(full.size()) * frac));
     EXPECT_THROW(load_scheme(cut, g), std::invalid_argument)
         << "fraction " << frac;
   }
 }
 
+// Artifact recovery compiles the flat view straight from a loaded stream,
+// so a corrupt stream must never reach the compile with an out-of-range
+// count, slice, vertex id or level. Setting each byte to 0xFF in turn must
+// either throw std::invalid_argument or load a scheme that compiles.
+TEST(SchemeIo, EveryByteSetTo0xFFRejectsOrCompiles) {
+  Rng graph_rng(6);
+  const Graph g =
+      largest_component(erdos_renyi_gnm(40, 160, graph_rng)).graph;
+  const TZScheme original = make_scheme(g, 2, 19);
+  std::stringstream ss;
+  save_scheme(ss, original);
+  const std::string bytes = ss.str();
+  std::size_t rejected = 0, compiled = 0;
+  std::string mut = bytes;
+  for (std::size_t at = 0; at < bytes.size(); ++at) {
+    mut[at] = '\xff';
+    try {
+      const TZScheme loaded = load_scheme(mut, g);
+      const FlatScheme flat(loaded);
+      ++compiled;
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "byte " << at << ": " << e.what();
+    }
+    mut[at] = bytes[at];
+  }
+  EXPECT_EQ(rejected + compiled, bytes.size());
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(compiled, 0u);
+}
+
 TEST(SchemeIo, GarbageRejected) {
   const Graph g = path_graph(4);
-  std::stringstream ss("this is not a scheme");
-  EXPECT_THROW(load_scheme(ss, g), std::invalid_argument);
+  EXPECT_THROW(load_scheme("this is not a scheme", g), std::invalid_argument);
 }
 
 TEST(SchemeIo, FileRoundTrip) {
