@@ -198,11 +198,9 @@ inline void add_host_metadata(JsonReport& report) {
 }
 
 /// Parses and validates a `--batch-group N` value: the pipeline group
-/// size must be a power of two (the sweep grid is 16/32/64; any power of
-/// two is accepted) or 0 for the scalar path where the caller supports
-/// it. Throws std::runtime_error with a message naming the flag.
-inline std::uint32_t parse_batch_group(const std::string& value,
-                                       bool allow_zero = true) {
+/// size must be a power of two up to 4096 (the sweep grid is 16/32/64).
+/// Throws std::runtime_error with a message naming the flag.
+inline std::uint32_t parse_batch_group(const std::string& value) {
   std::size_t used = 0;
   unsigned long parsed = 0;
   try {
@@ -211,14 +209,12 @@ inline std::uint32_t parse_batch_group(const std::string& value,
     used = 0;
   }
   const bool numeric = used == value.size() && !value.empty();
-  const bool zero_ok = allow_zero && parsed == 0;
   const bool pow2 =
       parsed > 0 && parsed <= 4096 && (parsed & (parsed - 1)) == 0;
-  if (!numeric || !(zero_ok || pow2)) {
+  if (!numeric || !pow2) {
     throw std::runtime_error(
-        "--batch-group expects a power of two (e.g. 16, 32, 64)" +
-        std::string(allow_zero ? " or 0 for the scalar path" : "") +
-        ", got '" + value + "'");
+        "--batch-group expects a power of two (e.g. 16, 32, 64), got '" +
+        value + "'");
   }
   return static_cast<std::uint32_t>(parsed);
 }

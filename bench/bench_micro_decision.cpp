@@ -84,8 +84,8 @@ int main(int argc, char** argv) try {
   const auto iters = static_cast<std::uint64_t>(
       flags.get_int("iters", 200000));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
-  const std::uint32_t batch_group = bench::parse_batch_group(
-      flags.get_string("batch-group", "32"), /*allow_zero=*/false);
+  const std::uint32_t batch_group =
+      bench::parse_batch_group(flags.get_string("batch-group", "32"));
   const std::string json_path = flags.get_string("json", "");
 
   bench::banner("micro",

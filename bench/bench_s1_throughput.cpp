@@ -31,7 +31,8 @@
 ///
 /// Flags: --n --family --scheme --workload --queries --batch --k --seed
 ///        --threads (comma list) --json out.json
-///        --batch-group=G (flat pipeline depth; 0 = scalar serving)
+///        --batch-group=G (pipeline depth of batched serving: a power of
+///        two, 1–4096; default 16)
 ///        --churn=C --churn-seed=S
 ///        --churn-reweight=F --churn-remove=F --churn-add=F
 ///        --sampling=centered|bernoulli (landmark sampler; bernoulli's
@@ -80,31 +81,13 @@ std::vector<unsigned> parse_thread_list(const std::string& spec) {
   return threads;
 }
 
-/// The sim/ reference answers for \p traffic under \p opt, shaped as
-/// path-less RouteAnswers so every run compares with same_route.
-/// Self-queries get the service's defined answer (delivered, 0 hops,
-/// stretch 1); the Simulator has no notion of them.
+/// The sim/ reference answers for \p traffic under \p opt, path-less
+/// (the runs don't record paths), so every run compares with same_route.
 std::vector<RouteAnswer> sim_reference(const Graph& g,
                                        const RouteServiceOptions& opt,
                                        const std::vector<RouteQuery>& traffic) {
   const SimReference ref(g, opt, /*record_path=*/false);
-  std::vector<RouteAnswer> out(traffic.size());
-  for (std::size_t i = 0; i < traffic.size(); ++i) {
-    const RouteQuery& q = traffic[i];
-    RouteAnswer& a = out[i];
-    if (q.s == q.t) {
-      a.status = RouteStatus::kDelivered;
-      a.stretch = 1.0;
-      continue;
-    }
-    const RouteResult r = ref.route(q.s, q.t);
-    a.status = r.status;
-    a.length = r.length;
-    a.hops = r.hops;
-    a.header_bits = r.header_bits;
-    if (a.delivered() && q.exact > 0) a.stretch = a.length / q.exact;
-  }
-  return out;
+  return ref.serve(traffic).answers;
 }
 
 }  // namespace
@@ -207,18 +190,15 @@ int main(int argc, char** argv) try {
                 r.latency_p95_us, r.latency_p99_us, r.stretch.mean,
                 identical ? "yes" : "NO");
 
-    // Latency semantics differ by serving mode: scalar rows measure each
-    // query's own wall time, batched rows its amortized share of the
-    // pipeline generation — marked so trajectory readers don't compare
-    // the two as one metric.
-    const char* latency_metric =
-        batch_group > 0 ? "group_amortized" : "per_query";
+    // Batched latency is each query's amortized share of its pipeline
+    // generation; the marker keeps older per-query rows in the trajectory
+    // files from being read as the same metric.
     report.add_row("runs")
         .set("path", std::string("flat"))
         .set("threads", std::uint64_t{t})
         .set("qps", r.qps)
         .set("speedup", speedup)
-        .set("latency_metric", std::string(latency_metric))
+        .set("latency_metric", std::string("group_amortized"))
         .set("p50_us", r.latency_p50_us)
         .set("p95_us", r.latency_p95_us)
         .set("p99_us", r.latency_p99_us)
@@ -316,9 +296,7 @@ int main(int argc, char** argv) try {
             .set("threads", std::uint64_t{t})
             .set("rebuild", std::string(rebuild_name))
             .set("qps", r.driver.qps)
-            .set("latency_metric", std::string(batch_group > 0
-                                                   ? "group_amortized"
-                                                   : "per_query"))
+            .set("latency_metric", std::string("group_amortized"))
             .set("p50_us", r.driver.latency_p50_us)
             .set("p95_us", r.driver.latency_p95_us)
             .set("p99_us", r.driver.latency_p99_us)

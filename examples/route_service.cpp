@@ -226,7 +226,7 @@ int main(int argc, char** argv) {
     std::printf("hops:    mean %.2f, max header %llu bits\n", r.mean_hops,
                 static_cast<unsigned long long>(r.max_header_bits));
 
-    const ServiceTelemetry tel = service.telemetry();
+    const ServiceTelemetry tel = service.snapshot();
     std::printf("telemetry: %llu queries over %llu batches, busy %.3fs "
                 "across %u workers\n",
                 static_cast<unsigned long long>(tel.queries),

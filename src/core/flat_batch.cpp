@@ -7,7 +7,7 @@ namespace croute {
 namespace {
 
 /// The serving hop budget (same bound RouteService::serve uses).
-CROUTE_HOT std::uint32_t default_max_hops(const Graph& g) noexcept {
+CROUTE_HOT std::uint32_t serving_max_hops(const Graph& g) noexcept {
   return 4 * g.num_vertices() + 16;
 }
 
@@ -86,18 +86,10 @@ CROUTE_HOT void FlatBatchEngine::run(const FlatBatchTarget& target,
                      "full-table batch target needs the pooled view");
       break;
   }
-  if (target.kind == FlatServeKind::kTZDirect &&
-      target.policy == RoutingPolicy::kMinEstimate) {
-    CROUTE_REQUIRE(target.flat->base().options().labels_carry_distances,
-                   "kMinEstimate needs labels built with "
-                   "labels_carry_distances");
-  }
   if (queries.empty()) return;
 
-  const std::uint32_t max_hops = target.max_hops != 0
-                                     ? target.max_hops
-                                     : default_max_hops(*target.graph);
   const Graph& g = *target.graph;
+  const std::uint32_t max_hops = serving_max_hops(g);
   CROUTE_LINT_SUPPRESS(hot_path,
                        "scratch warmup: every resize is a no-op once the "
                        "engine has served its first batch");
@@ -140,16 +132,12 @@ CROUTE_HOT void FlatBatchEngine::run(const FlatBatchTarget& target,
           CROUTE_REQUIRE(!q.label.empty(), "malformed destination label");
           lane.lab_it = q.label.data();
           lane.lab_end = q.label.data() + q.label.size();
-          lane.lab_best = nullptr;
           lane.lab_pool = q.light_pool != nullptr
                               ? q.light_pool
                               : target.flat->label_light_pool();
-          lane.best_est = kInfiniteWeight;
           CROUTE_PREFETCH(lane.lab_it);
-          if (target.policy != RoutingPolicy::kLabelOnly) {
-            lane.probe = FlatScheme::FindProbe{q.s, q.t};
-            target.flat->dir_find_stage0(lane.probe);
-          }
+          lane.probe = FlatScheme::FindProbe{q.s, q.t};
+          target.flat->dir_find_stage0(lane.probe);
           break;
         case FlatServeKind::kTZHandshake:
           lane.hs_u = q.s;
@@ -175,7 +163,7 @@ CROUTE_HOT void FlatBatchEngine::run(const FlatBatchTarget& target,
 
     switch (target.kind) {
       case FlatServeKind::kTZDirect:
-        prepare_tz_direct(target, answers);
+        prepare_tz_direct(target);
         walk_tz(target, answers, path_arena, decisions_only, max_hops);
         break;
       case FlatServeKind::kTZHandshake:
@@ -219,43 +207,41 @@ CROUTE_HOT void FlatBatchEngine::run(const FlatBatchTarget& target,
 }
 
 CROUTE_HOT void FlatBatchEngine::prepare_tz_direct(
-    const FlatBatchTarget& target, std::span<FlatBatchAnswer> answers) {
-  (void)answers;
+    const FlatBatchTarget& target) {
   const FlatScheme* f = target.flat;
   // Rule 0, lockstep: every lane probes its source's cluster directory
   // (stage0 prefetches were issued at lane init); the compacted probes
   // resolve in one SIMD kernel call.
-  if (target.policy != RoutingPolicy::kLabelOnly) {
-    for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
-      f->dir_find_stage1(lanes_[live_[pos]].probe);
+  for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
+    f->dir_find_stage1(lanes_[live_[pos]].probe);
+  }
+  batch_.clear();
+  for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
+    batch_.push(lanes_[live_[pos]].probe);
+  }
+  f->dir_find_stage2_batch(batch_);
+  for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
+    Lane& lane = lanes_[live_[pos]];
+    lane.pool_idx = batch_.out[pos];
+    if (lane.pool_idx != FlatScheme::kNotFound) {
+      f->prefetch_dir_payload(lane.pool_idx);
     }
-    batch_.clear();
-    for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
-      batch_.push(lanes_[live_[pos]].probe);
-    }
-    f->dir_find_stage2_batch(batch_);
-    for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
-      Lane& lane = lanes_[live_[pos]];
-      lane.pool_idx = batch_.out[pos];
-      if (lane.pool_idx != FlatScheme::kNotFound) {
-        f->prefetch_dir_payload(lane.pool_idx);
-      }
-    }
-    for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
-      Lane& lane = lanes_[live_[pos]];
-      if (lane.pool_idx == FlatScheme::kNotFound) continue;
-      const std::span<const Port> ports = f->dir_light_ports(lane.pool_idx);
-      lane.root = lane.s;
-      lane.dfs_in = f->dir_dfs(lane.pool_idx);
-      lane.light = ports.data();
-      lane.light_len = static_cast<std::uint32_t>(ports.size());
-      lane.bits = f->header_bits_for(lane.light_len);
-    }
+  }
+  for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
+    Lane& lane = lanes_[live_[pos]];
+    if (lane.pool_idx == FlatScheme::kNotFound) continue;
+    const std::span<const Port> ports = f->dir_light_ports(lane.pool_idx);
+    lane.root = lane.s;
+    lane.dfs_in = f->dir_dfs(lane.pool_idx);
+    lane.light = ports.data();
+    lane.light_len = static_cast<std::uint32_t>(ports.size());
+    lane.bits = f->header_bits_for(lane.light_len);
   }
   // Label pivot scan for the rule-0 misses, lockstep over entries: each
   // round probes every unresolved lane's current entry (three loops =
   // the three find stages, so lane A's slice prefetch flies while lanes
-  // B…G descend).
+  // B…G descend). The first entry whose pivot is in B(s) — the lowest
+  // level — wins.
   scan_count_ = 0;
   for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
     Lane& lane = lanes_[live_[pos]];
@@ -276,39 +262,18 @@ CROUTE_HOT void FlatBatchEngine::prepare_tz_direct(
     scan_next_count_ = 0;
     for (std::uint32_t i = 0; i < scan_count_; ++i) {
       Lane& lane = lanes_[scan_[i]];
-      const std::uint32_t idx = batch_.out[i];
-      const FlatScheme::LabelEntryView* chosen = nullptr;
-      if (target.policy != RoutingPolicy::kMinEstimate) {
-        if (idx != FlatScheme::kNotFound) {
-          chosen = lane.lab_it;
-        } else {
-          ++lane.lab_it;
-          CROUTE_ASSERT(lane.lab_it != lane.lab_end,
-                        "no candidate pivot found: top-level landmark "
-                        "missing from the source bunch");
-        }
-      } else {
-        if (idx != FlatScheme::kNotFound) {
-          const Weight estimate = f->dist(idx) + lane.lab_it->dist;
-          if (estimate < lane.best_est) {
-            lane.best_est = estimate;
-            lane.lab_best = lane.lab_it;
-          }
-        }
+      if (batch_.out[i] == FlatScheme::kNotFound) {
+        // Scan continues with the next entry.
         ++lane.lab_it;
-        if (lane.lab_it == lane.lab_end) {
-          CROUTE_ASSERT(lane.lab_best != nullptr,
-                        "no candidate pivot found: top-level landmark "
-                        "missing from the source bunch");
-          chosen = lane.lab_best;
-        }
-      }
-      if (chosen == nullptr) {  // scan continues with the next entry
+        CROUTE_ASSERT(lane.lab_it != lane.lab_end,
+                      "no candidate pivot found: top-level landmark "
+                      "missing from the source bunch");
         lane.probe = FlatScheme::FindProbe{lane.s, lane.lab_it->w};
         f->find_stage0(lane.probe);
         scan_next_[scan_next_count_++] = scan_[i];
         continue;
       }
+      const FlatScheme::LabelEntryView* chosen = lane.lab_it;
       lane.root = chosen->w;
       lane.dfs_in = chosen->dfs_in;
       lane.light = lane.lab_pool + chosen->light_off;

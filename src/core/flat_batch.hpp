@@ -19,10 +19,11 @@
 /// read. While
 /// lane A's line travels from DRAM, lanes B…G execute their stages, so up
 /// to G misses are in flight instead of one. Answers are byte-identical
-/// to the scalar FlatRouter/FlatCowen/FlatFullTable path — the stages
-/// reorder only *when* a line is fetched, never what is computed
-/// (tests/test_flat_scheme.cpp proves equality over every scheme kind
-/// and group size, ragged tails and self-queries included).
+/// to the scalar FlatRouter/FlatCowen/FlatFullTable decisions and to the
+/// sim/ reference walk — the stages reorder only *when* a line is
+/// fetched, never what is computed (tests/test_flat_scheme.cpp proves
+/// equality against sim/ over every scheme kind and group size, ragged
+/// tails and self-queries included).
 ///
 /// Stage map per hop of the Thorup–Zwick walk at vertex v:
 ///   kStepMeta    read CSR offsets (prefetched on arrival), prefetch the
@@ -31,9 +32,10 @@
 ///                the node record;
 ///   kStepDecide  O(1) tree decision over the record, prefetch the arc;
 ///   kStepAdvance traverse the arc, prefetch the next vertex's offsets.
-/// Prepare (rule-0 directory probe + label pivot scan), the handshake's
-/// bidirectional pivot walk, and the Cowen/full-table per-hop reads are
-/// staged the same way.
+/// Prepare (rule-0 directory probe, then the scan for the lowest label
+/// level whose pivot is in B(s) — the paper's rule, the only one the
+/// engine runs), the handshake's bidirectional pivot walk, and the
+/// Cowen/full-table per-hop reads are staged the same way.
 ///
 /// The probe stages are *vectorized* (src/simd/): each round compacts
 /// the live lanes' probes into SoA scratch arrays and resolves them in
@@ -55,8 +57,10 @@
 ///
 /// The engine is scalar state + scratch: one instance per worker thread,
 /// reused across batches (no allocation once warm). RouteService routes
-/// its destination-grouped chunks through per-worker engines; route_one
-/// and `batch_group = 0` keep the scalar path.
+/// every batch's destination-grouped chunks through per-worker engines;
+/// only route_one serves one query at a time on the scalar FlatRouter
+/// path. The hop budget is the serving default 4n + 16, the same bound
+/// RouteService::serve uses.
 
 #pragma once
 
@@ -86,12 +90,9 @@ enum class FlatServeKind {
 struct FlatBatchTarget {
   const Graph* graph = nullptr;
   FlatServeKind kind = FlatServeKind::kTZDirect;
-  RoutingPolicy policy = RoutingPolicy::kMinLevel;  ///< kTZDirect only
   const FlatScheme* flat = nullptr;
   const FlatCowen* cowen = nullptr;
   const FlatFullTable* full = nullptr;
-  /// Hop budget; 0 = the serving default 4n + 16.
-  std::uint32_t max_hops = 0;
 };
 
 /// One query. For kTZDirect \p label must be the destination's resolved
@@ -107,7 +108,7 @@ struct FlatBatchQuery {
 };
 
 /// One answer. The deterministic fields (status, length, hops,
-/// header_bits, path) are byte-identical to the scalar serving path;
+/// header_bits, path) are byte-identical to the sim/ reference walk;
 /// latency_us is the query's amortized share of its pipeline
 /// generation's wall time (G queries run interleaved — per-lane wall
 /// time would charge every lane for all G).
@@ -202,9 +203,7 @@ class FlatBatchEngine {
     // TZ label scan
     const FlatScheme::LabelEntryView* lab_it = nullptr;
     const FlatScheme::LabelEntryView* lab_end = nullptr;
-    const FlatScheme::LabelEntryView* lab_best = nullptr;
     const Port* lab_pool = nullptr;  ///< light-port pool of this label
-    Weight best_est = 0;
     // handshake walk
     VertexId hs_u = kNoVertex, hs_v = kNoVertex, hs_w = kNoVertex;
     std::uint32_t hs_i = 0;
@@ -231,8 +230,7 @@ class FlatBatchEngine {
                       bool decisions_only, std::uint32_t max_hops);
 
   // Lockstep phases (each is one loop over the live lanes).
-  void prepare_tz_direct(const FlatBatchTarget& target,
-                         std::span<FlatBatchAnswer> answers);
+  void prepare_tz_direct(const FlatBatchTarget& target);
   void prepare_tz_handshake(const FlatBatchTarget& target);
   void walk_tz(const FlatBatchTarget& target,
                std::span<FlatBatchAnswer> answers,

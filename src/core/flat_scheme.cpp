@@ -11,6 +11,10 @@
 
 namespace croute {
 
+static_assert(sizeof(FlatScheme::LabelEntryView) == 16,
+              "a pooled label entry holds only what the kMinLevel scan and "
+              "the tree walk read");
+
 namespace {
 
 using flat_detail::eytzinger_find;
@@ -119,8 +123,6 @@ void FlatScheme::compile_tables(ThreadPool* pool) {
   const std::uint32_t total = tbl_off_[n];
   tbl_key_.resize(total);
   tbl_record_.resize(total);
-  tbl_dist_.resize(total);
-  tbl_level_.resize(total);
   tbl_own_dfs_.resize(total);
   tbl_own_light_off_.resize(total);
   tbl_own_light_len_.resize(total);
@@ -138,8 +140,6 @@ void FlatScheme::compile_tables(ThreadPool* pool) {
       const std::uint32_t idx = tbl_off_[v] + p;
       tbl_key_[idx] = e.w;
       tbl_record_[idx] = e.record;
-      tbl_dist_[idx] = e.dist;
-      tbl_level_[idx] = e.level;
       tbl_own_dfs_[idx] = e.record.dfs_in;
       const std::span<const Port> ports = table.own_light_ports(e);
       tbl_own_light_off_[idx] = light_off;
@@ -223,9 +223,7 @@ void FlatScheme::compile_labels(ThreadPool* pool) {
     for (std::size_t j = 0; j < label.entries.size(); ++j) {
       const LabelEntry& e = label.entries[j];
       LabelEntryView& out = lab_entries_[lab_off_[t] + j];
-      out.level = e.level;
       out.w = e.w;
-      out.dist = e.dist;
       out.dfs_in = e.tree.dfs_in;
       out.light_off = light_off;
       out.light_len = static_cast<std::uint32_t>(e.tree.light_ports.size());
@@ -257,59 +255,41 @@ std::uint64_t FlatScheme::pool_bytes() const noexcept {
     return vec.size() * sizeof(typename std::decay_t<decltype(vec)>::value_type);
   };
   return bytes(tbl_off_) + bytes(tbl_key_) + bytes(tbl_record_) +
-         bytes(tbl_dist_) + bytes(tbl_level_) + bytes(tbl_own_dfs_) +
-         bytes(tbl_own_light_off_) + bytes(tbl_own_light_len_) +
-         bytes(tbl_light_pool_) + bytes(dir_off_) + bytes(dir_key_) +
-         bytes(dir_dfs_) + bytes(dir_light_off_) + bytes(dir_light_len_) +
+         bytes(tbl_own_dfs_) + bytes(tbl_own_light_off_) +
+         bytes(tbl_own_light_len_) + bytes(tbl_light_pool_) +
+         bytes(dir_off_) + bytes(dir_key_) + bytes(dir_dfs_) +
+         bytes(dir_light_off_) + bytes(dir_light_len_) +
          bytes(dir_light_pool_) + bytes(lab_off_) + bytes(lab_entries_) +
          bytes(lab_light_pool_) + bytes(bits_by_len_);
 }
 
-CROUTE_HOT FlatHeader FlatRouter::prepare(VertexId s, VertexId t,
-                                          RoutingPolicy policy) const {
-  return prepare_resolved(s, t, flat_->label(t), policy);
+CROUTE_HOT FlatHeader FlatRouter::prepare(VertexId s, VertexId t) const {
+  return prepare_resolved(s, t, flat_->label(t));
 }
 
 CROUTE_HOT FlatHeader FlatRouter::prepare_resolved(
     VertexId s, VertexId t, std::span<const FlatScheme::LabelEntryView> label,
-    const Port* light_pool, RoutingPolicy policy) const {
+    const Port* light_pool) const {
   const FlatScheme& f = *flat_;
   CROUTE_REQUIRE(!label.empty(), "malformed destination label");
   // Rule 0: t ∈ C(s) — one directory probe (index + payload views).
-  if (policy != RoutingPolicy::kLabelOnly) {
-    const std::uint32_t di = f.dir_find(s, t);
-    if (di != FlatScheme::kNotFound) {
-      const std::span<const Port> ports = f.dir_light_ports(di);
-      return FlatHeader{t,
-                        s,
-                        f.dir_dfs(di),
-                        ports.data(),
-                        static_cast<std::uint32_t>(ports.size()),
-                        f.header_bits_for(
-                            static_cast<std::uint32_t>(ports.size()))};
-    }
+  const std::uint32_t di = f.dir_find(s, t);
+  if (di != FlatScheme::kNotFound) {
+    const std::span<const Port> ports = f.dir_light_ports(di);
+    return FlatHeader{t,
+                      s,
+                      f.dir_dfs(di),
+                      ports.data(),
+                      static_cast<std::uint32_t>(ports.size()),
+                      f.header_bits_for(
+                          static_cast<std::uint32_t>(ports.size()))};
   }
+  // The lowest level whose pivot is in B(s) (labels are level-ordered).
   const FlatScheme::LabelEntryView* chosen = nullptr;
-  if (policy != RoutingPolicy::kMinEstimate) {
-    for (const FlatScheme::LabelEntryView& e : label) {
-      if (f.find(s, e.w) != FlatScheme::kNotFound) {
-        chosen = &e;
-        break;
-      }
-    }
-  } else {
-    CROUTE_REQUIRE(f.base().options().labels_carry_distances,
-                   "kMinEstimate needs labels built with "
-                   "labels_carry_distances");
-    Weight best = kInfiniteWeight;
-    for (const FlatScheme::LabelEntryView& e : label) {
-      const std::uint32_t idx = f.find(s, e.w);
-      if (idx == FlatScheme::kNotFound) continue;
-      const Weight estimate = f.dist(idx) + e.dist;
-      if (estimate < best) {
-        best = estimate;
-        chosen = &e;
-      }
+  for (const FlatScheme::LabelEntryView& e : label) {
+    if (f.find(s, e.w) != FlatScheme::kNotFound) {
+      chosen = &e;
+      break;
     }
   }
   CROUTE_ASSERT(chosen != nullptr,
@@ -472,12 +452,10 @@ VertexId decode_wire_label(const LabelCodec& codec, VertexId n, BitReader& r,
   const std::uint32_t port_bits = codec.tree_codec().port_bits;
   for (std::uint64_t i = 0; i < count; ++i) {
     FlatScheme::LabelEntryView e;
-    e.level = static_cast<std::uint32_t>(r.read_gamma() - 1);
+    r.read_gamma();  // level: the entry order already encodes it
     e.w = static_cast<VertexId>(r.read_bits(codec.id_bits()));
     CROUTE_REQUIRE(e.w < n, "label pivot out of range");
-    e.dist = codec.carries_distances()
-                 ? std::bit_cast<Weight>(r.read_bits(64))
-                 : 0;
+    if (codec.carries_distances()) r.read_bits(64);  // d(w, t): not pooled
     e.dfs_in = static_cast<std::uint32_t>(r.read_bits(dfs_bits));
     const std::uint64_t nports = r.read_gamma() - 1;
     e.light_off = static_cast<std::uint32_t>(ports.size());

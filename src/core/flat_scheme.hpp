@@ -12,9 +12,8 @@
 ///
 ///  - **tables**: one CSR over all vertices' bunch entries. The *hot* key
 ///    array (tree roots, the only field a lookup compares) is contiguous
-///    and separated from the cold payloads (distance, level, node record,
-///    own-label slices), so a search touches the minimum number of cache
-///    lines;
+///    and separated from the cold payloads (node record, own-label
+///    slices), so a search touches the minimum number of cache lines;
 ///  - **directories**: the rule-0 member ids pooled the same way, with
 ///    dfs indices and light-port slices alongside;
 ///  - **labels**: every destination's entries in one pool; tree labels are
@@ -30,12 +29,17 @@
 /// the serving path a global FKS index lost to this layout on every
 /// measured metric — slower walks, larger pools, slower compiles.
 ///
-/// FlatRouter mirrors TZRouter::prepare / prepare_handshake / step over
-/// the flat view with **zero heap allocation per query**: headers carry a
-/// pointer into the pooled light ports instead of owning a vector, and
-/// wire sizes come from a precomputed bits-by-length table instead of a
-/// BitWriter run. Answers are bit-identical to the legacy path
-/// (tests/test_flat_scheme.cpp proves it pairwise).
+/// FlatRouter mirrors TZRouter::prepare (the paper's rule: rule 0, then
+/// the lowest level whose pivot is in B(s) — TZRouter's kMinLevel) /
+/// prepare_handshake / step over the flat view with **zero heap
+/// allocation per query**. The pools hold exactly what that rule and the
+/// tree walk read; the ablation policies (kMinEstimate, kLabelOnly) and
+/// the per-entry levels and distances only they need stay in the sim/
+/// reference (TZRouter). Headers carry a pointer into the pooled light
+/// ports instead of owning a vector, and wire sizes come from a
+/// precomputed bits-by-length table instead of a BitWriter run. Answers
+/// are bit-identical to the legacy path (tests/test_flat_scheme.cpp
+/// proves it pairwise).
 ///
 /// Compilation parallelizes over an optional ThreadPool (per-vertex table,
 /// directory and label slices are disjoint once the CSR offsets are prefix-
@@ -136,11 +140,11 @@ class FlatScheme {
   /// "not found" sentinel of find / dir_find.
   static constexpr std::uint32_t kNotFound = ~std::uint32_t{0};
 
-  /// One pooled label entry (fixed-size view of LabelEntry).
+  /// One pooled label entry: the fields the pivot scan and the tree walk
+  /// read from a LabelEntry (16 bytes; its level and carried distance
+  /// serve only the sim/ ablation policies and are not pooled).
   struct LabelEntryView {
-    std::uint32_t level = 0;
     VertexId w = kNoVertex;
-    Weight dist = 0;              ///< d(w, t); 0 unless labels carry them
     std::uint32_t dfs_in = 0;     ///< t's dfs index in T_w
     std::uint32_t light_off = 0;  ///< slice into label_light_pool()
     std::uint32_t light_len = 0;
@@ -274,12 +278,6 @@ class FlatScheme {
   CROUTE_HOT const TreeNodeRecord& record(std::uint32_t idx) const noexcept {
     return tbl_record_[idx];
   }
-  CROUTE_HOT Weight dist(std::uint32_t idx) const noexcept {
-    return tbl_dist_[idx];
-  }
-  CROUTE_HOT std::uint32_t level(std::uint32_t idx) const noexcept {
-    return tbl_level_[idx];
-  }
   /// v's own tree label in T_w for entry \p idx (handshake destination
   /// side), as non-owning pieces.
   CROUTE_HOT std::uint32_t own_dfs(std::uint32_t idx) const noexcept {
@@ -377,8 +375,6 @@ class FlatScheme {
   std::vector<std::uint32_t> tbl_off_;       ///< n+1
   std::vector<VertexId> tbl_key_;            ///< hot: tree roots
   std::vector<TreeNodeRecord> tbl_record_;   ///< cold payloads …
-  std::vector<Weight> tbl_dist_;
-  std::vector<std::uint32_t> tbl_level_;
   std::vector<std::uint32_t> tbl_own_dfs_;
   std::vector<std::uint32_t> tbl_own_light_off_;
   std::vector<std::uint32_t> tbl_own_light_len_;
@@ -412,17 +408,15 @@ class FlatRouter {
 
   /// Source decision without handshake (stretch ≤ 4k−5). Uses the pooled
   /// label of \p t; chooses the same pivot as TZRouter::prepare under
-  /// every policy.
-  CROUTE_HOT FlatHeader prepare(
-      VertexId s, VertexId t,
-      RoutingPolicy policy = RoutingPolicy::kMinLevel) const;
+  /// its kMinLevel policy.
+  CROUTE_HOT FlatHeader prepare(VertexId s, VertexId t) const;
 
   /// prepare with the label already resolved (the batched serving path
   /// resolves each distinct destination once per batch and reuses it).
   CROUTE_HOT FlatHeader prepare_resolved(
-      VertexId s, VertexId t, std::span<const FlatScheme::LabelEntryView> label,
-      RoutingPolicy policy = RoutingPolicy::kMinLevel) const {
-    return prepare_resolved(s, t, label, flat_->label_light_pool(), policy);
+      VertexId s, VertexId t,
+      std::span<const FlatScheme::LabelEntryView> label) const {
+    return prepare_resolved(s, t, label, flat_->label_light_pool());
   }
 
   /// prepare_resolved with the label's light ports in a caller-owned pool:
@@ -434,8 +428,7 @@ class FlatRouter {
   /// outlive the returned header's use.
   CROUTE_HOT FlatHeader prepare_resolved(
       VertexId s, VertexId t, std::span<const FlatScheme::LabelEntryView> label,
-      const Port* light_pool,
-      RoutingPolicy policy = RoutingPolicy::kMinLevel) const;
+      const Port* light_pool) const;
 
   /// Source decision with handshake (stretch ≤ 2k−1).
   CROUTE_HOT FlatHeader prepare_handshake(VertexId s, VertexId t) const;
@@ -574,7 +567,9 @@ class FlatFullTable {
 };
 
 /// Decodes one LabelCodec-encoded routing label from \p r into flat entry
-/// views — the wire seam of label-addressed serving. Appends the entries
+/// views — the wire seam of label-addressed serving. Each entry's level
+/// and (when the codec carries them) distance are read and discarded:
+/// the views do not hold them. Appends the entries
 /// to \p entries and their light ports to \p ports (light_off fields are
 /// absolute offsets into \p ports; pass ports.data() as the light pool
 /// once the batch's decodes are done). Returns the label's target vertex.

@@ -41,8 +41,10 @@ struct TZSchemeOptions {
   /// Build an FKS perfect-hash index over every vertex table (O(1)
   /// worst-case lookups; adds space accounted separately).
   bool hash_index = false;
-  /// Carry d(w,t) in address labels (enables the kMinEstimate routing
-  /// policy; adds 64 bits per label entry to the accounting).
+  /// Carry d(w,t) in address labels (enables TZRouter's kMinEstimate
+  /// ablation policy; adds 64 bits per label entry to the accounting).
+  /// The flat serving view does not pool the distances: its wire
+  /// decoder reads and discards them.
   bool labels_carry_distances = false;
 };
 

@@ -34,6 +34,26 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// The rejection reasons a recovery note carries: the first three
+/// "file: reason" strings, each cut to 200 chars, then "+N more" — enough
+/// to say why without letting a directory of hostile files bloat a note
+/// that logs and the CLI print whole.
+std::string rejection_reasons(const std::vector<std::string>& rejected) {
+  constexpr std::size_t kMaxReasons = 3;
+  constexpr std::size_t kMaxChars = 200;
+  std::string out;
+  for (std::size_t i = 0; i < rejected.size() && i < kMaxReasons; ++i) {
+    if (i > 0) out += "; ";
+    out += rejected[i].size() <= kMaxChars
+               ? rejected[i]
+               : rejected[i].substr(0, kMaxChars - 3) + "...";
+  }
+  if (rejected.size() > kMaxReasons) {
+    out += "; +" + std::to_string(rejected.size() - kMaxReasons) + " more";
+  }
+  return out;
+}
+
 [[noreturn]] void fail_sys(const std::string& what, const std::string& path) {
   throw std::runtime_error(what + " failed for " + path + ": " +
                            std::strerror(errno));
@@ -333,7 +353,8 @@ RecoverResult ArtifactStore::recover_newest(const RouteServiceOptions& serving,
       if (!out.rejected.empty()) {
         out.note += " (after " + std::to_string(out.rejected.size()) +
                     " rejected candidate" +
-                    (out.rejected.size() == 1 ? ")" : "s)");
+                    (out.rejected.size() == 1 ? ": " : "s: ") +
+                    rejection_reasons(out.rejected) + ")";
       }
       if (recovered_ != nullptr) recovered_->inc();
       if (verify_us_ != nullptr) verify_us_->record(0, out.verify_s * 1e6);
@@ -351,7 +372,8 @@ RecoverResult ArtifactStore::recover_newest(const RouteServiceOptions& serving,
   out.note = candidates.empty()
                  ? "no artifacts in " + options_.dir
                  : "no valid artifact (" + std::to_string(out.rejected.size()) +
-                       " candidate(s) rejected)";
+                       " candidate(s) rejected: " +
+                       rejection_reasons(out.rejected) + ")";
   span.arg("rejected", static_cast<double>(out.rejected.size()));
   return out;
 }

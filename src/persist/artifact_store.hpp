@@ -72,7 +72,10 @@ struct RecoverResult {
   std::string path;                   ///< file that served (when recovered)
   double verify_s = 0;                ///< read + verify + decode wall time
   std::vector<std::string> rejected;  ///< "file: reason" per rejected candidate
-  std::string note;                   ///< one-line human-readable outcome
+  /// One-line human-readable outcome. When candidates were rejected it
+  /// names why: the first 3 "file: reason" strings (each at most 200
+  /// chars), then "+N more".
+  std::string note;
 };
 
 /// The artifact directory lifecycle. Thread-safe: publishes serialize on

@@ -18,7 +18,9 @@
 ///
 /// Integer flags are range-checked against the field they set: a value
 /// the field cannot hold (--threads=-1, --batch-group=4294967312) is
-/// rejected with the flag's name instead of wrapping.
+/// rejected with the flag's name instead of wrapping. --batch-group is
+/// the pipeline depth of batched serving, a power of two from 1 to 4096;
+/// validate() rejects 0.
 
 #pragma once
 

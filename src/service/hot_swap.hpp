@@ -17,9 +17,8 @@
 /// topology against the serving generation and reuses every cluster SPT
 /// the delta provably leaves untouched (core/incremental_rebuild.hpp),
 /// byte-identical to a full preprocessing. RebuildMode::kFull is the
-/// per-call escape hatch; RouteServiceOptions::incremental_rebuild=false
-/// disables the delta-aware path service-wide. Reuse ratios and phase
-/// timings land in ServiceTelemetry next to the flat-compile stats.
+/// escape hatch. Reuse ratios and phase timings land in ServiceTelemetry
+/// next to the flat-compile stats.
 ///
 /// Determinism contract: rebuilds reuse the service's construction
 /// options (seed included, warm start dropped), so a hot-swapped
@@ -63,8 +62,7 @@ enum class RebuildMode {
   /// and reuse every cluster SPT the delta leaves untouched
   /// (core/incremental_rebuild.hpp). Byte-identical to a full rebuild;
   /// falls back to one automatically when no compatible previous
-  /// generation exists or RouteServiceOptions::incremental_rebuild is
-  /// off. The default.
+  /// generation exists. The default.
   kIncremental,
   /// Full preprocessing from scratch — the escape hatch (and the
   /// attribution baseline the churn bench prices reuse against).
@@ -73,7 +71,7 @@ enum class RebuildMode {
 
 /// Rebuilds scheme generations for one RouteService and publishes them.
 /// One driver thread calls rebuild_now/rebuild_async/wait; the service's
-/// own telemetry() aggregates the rebuild/swap counters this feeds.
+/// own snapshot() aggregates the rebuild/swap counters this feeds.
 class SchemeManager {
  public:
   explicit SchemeManager(RouteService& service) noexcept

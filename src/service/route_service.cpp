@@ -144,11 +144,9 @@ RouteService::RouteService(const Graph& g, const RouteServiceOptions& options)
   pool_ = std::make_unique<ThreadPool>(options.threads);
   for (unsigned w = 0; w < pool_->size(); ++w) shards_.emplace_back();
   arenas_.resize(pool_->size());
-  if (options_.batch_group > 0) {
-    batch_scratch_.reserve(pool_->size());
-    for (unsigned w = 0; w < pool_->size(); ++w) {
-      batch_scratch_.emplace_back(options_.batch_group);
-    }
+  batch_scratch_.reserve(pool_->size());
+  for (unsigned w = 0; w < pool_->size(); ++w) {
+    batch_scratch_.emplace_back(options_.batch_group);
   }
   dest_slot_.resize(num_vertices_, 0);
   dest_epoch_.resize(num_vertices_, 0);
@@ -161,7 +159,7 @@ RouteService::RouteService(const Graph& g, const RouteServiceOptions& options)
     hist_latency_ = &metrics_->histogram(
         "croute_query_latency_us",
         "Per-query service time at the worker (amortized per pipeline "
-        "generation when batch_group > 0)",
+        "generation)",
         ms);
     hist_queue_wait_ = &metrics_->histogram(
         "croute_queue_wait_us",
@@ -539,172 +537,124 @@ void RouteService::route(std::span<const RouteRequest> requests,
     path_refs_.assign(queries.size(), PathRef{});
     for (auto& arena : arenas_) arena.clear();  // keeps capacity
   }
-  if (options_.batch_group > 0) {
-    // Batch-pipelined serving: each worker claims destination-grouped
-    // chunks and routes them through its FlatBatchEngine — batch_group
-    // descents interleaved, every lane's next dependent load prefetched
-    // while the other lanes compute. Answer slots, path slices and shard
-    // telemetry are written exactly as on the scalar path below, so
-    // results stay byte-identical for every group size and thread count.
-    FlatBatchTarget target;
-    target.graph = pkg->graph.get();
-    target.flat = pkg->flat.get();
-    target.cowen = pkg->flat_cowen.get();
-    target.full = pkg->flat_full.get();
-    switch (options_.scheme) {
-      case SchemeKind::kTZDirect:
-        target.kind = FlatServeKind::kTZDirect;
-        break;
-      case SchemeKind::kTZHandshake:
-        target.kind = FlatServeKind::kTZHandshake;
-        break;
-      case SchemeKind::kCowen:
-        target.kind = FlatServeKind::kCowen;
-        break;
-      case SchemeKind::kFullTable:
-        target.kind = FlatServeKind::kFullTable;
-        break;
-    }
-    // A chunk holds a few pipeline generations so refills amortize while
-    // the dynamic schedule stays responsive to skewed per-query cost.
-    const std::uint32_t chunk =
-        std::max<std::uint32_t>(32, 2 * options_.batch_group);
-    const std::uint64_t num_chunks = (queries.size() + chunk - 1) / chunk;
-    const auto dispatch = clock::now();
-    pool_->for_each(
-        num_chunks,
-        [&](std::uint64_t c, unsigned worker) {
-          const auto lo = static_cast<std::uint32_t>(c * chunk);
-          const auto hi = static_cast<std::uint32_t>(
-              std::min<std::uint64_t>(queries.size(), c * chunk + chunk));
-          BatchScratch& ws = batch_scratch_[worker];
-          ws.queries.resize(hi - lo);
-          ws.answers.assign(hi - lo, FlatBatchAnswer{});
-          for (std::uint32_t j = 0; j < hi - lo; ++j) {
-            const std::uint32_t i = order_[lo + j];
-            const RouteQuery& q = queries[i];
-            ws.queries[j].s = q.s;
-            ws.queries[j].t = q.t;
-            if (memo_active) {
-              const DestMemo& m = dest_memos_[dest_slot_[q.t]];
-              ws.queries[j].label = m.label;
-              ws.queries[j].light_pool = m.light_pool;
-            } else {
-              ws.queries[j].label = {};
-              ws.queries[j].light_pool = nullptr;
-            }
-          }
-          std::vector<VertexId>* arena =
-              options_.record_paths ? &arenas_[worker] : nullptr;
-          const auto begin = clock::now();
-          // Queue wait of every query in the chunk: dispatch → this
-          // worker dequeued the chunk (one measurement, chunk-shared).
-          const double wait_us =
-              std::chrono::duration<double>(begin - dispatch).count() * 1e6;
-          ws.engine.route(target, ws.queries, ws.answers, arena);
-          const auto end = clock::now();
-          // Chunk-local accumulation; one atomic flush per chunk below.
-          std::uint64_t nq = 0, nd = 0, nhops = 0, maxhb = 0;
-          for (std::uint32_t j = 0; j < hi - lo; ++j) {
-            const std::uint32_t i = order_[lo + j];
-            const RouteQuery& q = queries[i];
-            const FlatBatchAnswer& ba = ws.answers[j];
-            RouteAnswer& out = answers[i];
-            out.status = ba.status;
-            out.length = ba.length;
-            out.hops = ba.hops;
-            out.header_bits = ba.header_bits;
-            out.latency_us = ba.latency_us;
-            out.queue_wait_us = wait_us;
-            if (q.s == q.t) {
-              out.stretch = 1.0;
-            } else if (out.delivered() && q.exact > 0) {
-              out.stretch = out.length / q.exact;
-            }
-            if (options_.record_paths) {
-              path_refs_[i] = PathRef{worker, ba.path_off, ba.path_len};
-            }
-            ++nq;
-            if (out.delivered()) ++nd;
-            nhops += out.hops;
-            if (out.header_bits > maxhb) maxhb = out.header_bits;
-          }
-          Shard& shard = shards_[worker];
-          // queries before delivered (release): see the Shard comment.
-          shard.queries.fetch_add(nq, std::memory_order_relaxed);
-          shard.delivered.fetch_add(nd, std::memory_order_release);
-          shard.total_hops.fetch_add(nhops, std::memory_order_relaxed);
-          atomic_fetch_max(shard.max_header_bits, maxhb);
-          shard.busy_seconds.fetch_add(
-              std::chrono::duration<double>(end - begin).count(),
-              std::memory_order_relaxed);
-          if (metrics_ != nullptr) {
-            hist_queue_wait_->record_n(worker, wait_us, hi - lo);
-            ctr_queries_->add(worker, nq);
-            ctr_delivered_->add(worker, nd);
-            // Latencies repeat per pipeline generation — record each run
-            // of equal values once (a few adds per chunk, not per query).
-            std::uint32_t j = 0;
-            while (j < hi - lo) {
-              std::uint32_t run = 1;
-              while (j + run < hi - lo &&
-                     ws.answers[j + run].latency_us ==
-                         ws.answers[j].latency_us) {
-                ++run;
-              }
-              hist_latency_->record_n(worker, ws.answers[j].latency_us, run);
-              j += run;
-            }
-          }
-        },
-        1);
-  } else {
-    // Scalar serving: chunks of 32 amortize the queue handshake while
-    // keeping the dynamic schedule responsive to skewed per-query cost
-    // (far pairs walk longer).
-    const auto dispatch = clock::now();
-    pool_->for_each(
-        queries.size(),
-        [&](std::uint64_t slot, unsigned worker) {
-          const std::uint32_t i = order_[slot];
-          const RouteQuery& q = queries[i];
-          const DestMemo* memo =
-              memo_active ? &dest_memos_[dest_slot_[q.t]] : nullptr;
-          std::vector<VertexId>* path =
-              options_.record_paths ? &arenas_[worker] : nullptr;
-          const std::uint32_t path_off =
-              path ? static_cast<std::uint32_t>(path->size()) : 0;
-          const auto begin = clock::now();
-          answers[i] = serve(*pkg, q, path, memo);
-          const auto end = clock::now();
-          if (path) {
-            path_refs_[i] = PathRef{
-                worker, path_off,
-                static_cast<std::uint32_t>(path->size()) - path_off};
-          }
-          const double sec =
-              std::chrono::duration<double>(end - begin).count();
-          answers[i].latency_us = sec * 1e6;
-          answers[i].queue_wait_us =
-              std::chrono::duration<double>(begin - dispatch).count() * 1e6;
-          Shard& shard = shards_[worker];
-          // queries before delivered (release): see the Shard comment.
-          shard.queries.fetch_add(1, std::memory_order_relaxed);
-          if (answers[i].delivered())
-            shard.delivered.fetch_add(1, std::memory_order_release);
-          shard.total_hops.fetch_add(answers[i].hops,
-                                     std::memory_order_relaxed);
-          atomic_fetch_max(shard.max_header_bits, answers[i].header_bits);
-          shard.busy_seconds.fetch_add(sec, std::memory_order_relaxed);
-          if (metrics_ != nullptr) {
-            hist_latency_->record(worker, answers[i].latency_us);
-            hist_queue_wait_->record(worker, answers[i].queue_wait_us);
-            ctr_queries_->add(worker, 1);
-            if (answers[i].delivered()) ctr_delivered_->add(worker, 1);
-          }
-        },
-        32);
+  // Batch-pipelined serving: each worker claims destination-grouped
+  // chunks and routes them through its FlatBatchEngine — batch_group
+  // descents interleaved, every lane's next dependent load prefetched
+  // while the other lanes compute. Answer i lands in slot i and its path
+  // in the worker's arena, so results stay byte-identical for every
+  // group size and thread count.
+  FlatBatchTarget target;
+  target.graph = pkg->graph.get();
+  target.flat = pkg->flat.get();
+  target.cowen = pkg->flat_cowen.get();
+  target.full = pkg->flat_full.get();
+  switch (options_.scheme) {
+    case SchemeKind::kTZDirect:
+      target.kind = FlatServeKind::kTZDirect;
+      break;
+    case SchemeKind::kTZHandshake:
+      target.kind = FlatServeKind::kTZHandshake;
+      break;
+    case SchemeKind::kCowen:
+      target.kind = FlatServeKind::kCowen;
+      break;
+    case SchemeKind::kFullTable:
+      target.kind = FlatServeKind::kFullTable;
+      break;
   }
+  // A chunk holds a few pipeline generations so refills amortize while
+  // the dynamic schedule stays responsive to skewed per-query cost.
+  const std::uint32_t chunk =
+      std::max<std::uint32_t>(32, 2 * options_.batch_group);
+  const std::uint64_t num_chunks = (queries.size() + chunk - 1) / chunk;
+  const auto dispatch = clock::now();
+  pool_->for_each(
+      num_chunks,
+      [&](std::uint64_t c, unsigned worker) {
+        const auto lo = static_cast<std::uint32_t>(c * chunk);
+        const auto hi = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(queries.size(), c * chunk + chunk));
+        BatchScratch& ws = batch_scratch_[worker];
+        ws.queries.resize(hi - lo);
+        ws.answers.assign(hi - lo, FlatBatchAnswer{});
+        for (std::uint32_t j = 0; j < hi - lo; ++j) {
+          const std::uint32_t i = order_[lo + j];
+          const RouteQuery& q = queries[i];
+          ws.queries[j].s = q.s;
+          ws.queries[j].t = q.t;
+          if (memo_active) {
+            const DestMemo& m = dest_memos_[dest_slot_[q.t]];
+            ws.queries[j].label = m.label;
+            ws.queries[j].light_pool = m.light_pool;
+          } else {
+            ws.queries[j].label = {};
+            ws.queries[j].light_pool = nullptr;
+          }
+        }
+        std::vector<VertexId>* arena =
+            options_.record_paths ? &arenas_[worker] : nullptr;
+        const auto begin = clock::now();
+        // Queue wait of every query in the chunk: dispatch → this
+        // worker dequeued the chunk (one measurement, chunk-shared).
+        const double wait_us =
+            std::chrono::duration<double>(begin - dispatch).count() * 1e6;
+        ws.engine.route(target, ws.queries, ws.answers, arena);
+        const auto end = clock::now();
+        // Chunk-local accumulation; one atomic flush per chunk below.
+        std::uint64_t nq = 0, nd = 0, nhops = 0, maxhb = 0;
+        for (std::uint32_t j = 0; j < hi - lo; ++j) {
+          const std::uint32_t i = order_[lo + j];
+          const RouteQuery& q = queries[i];
+          const FlatBatchAnswer& ba = ws.answers[j];
+          RouteAnswer& out = answers[i];
+          out.status = ba.status;
+          out.length = ba.length;
+          out.hops = ba.hops;
+          out.header_bits = ba.header_bits;
+          out.latency_us = ba.latency_us;
+          out.queue_wait_us = wait_us;
+          if (q.s == q.t) {
+            out.stretch = 1.0;
+          } else if (out.delivered() && q.exact > 0) {
+            out.stretch = out.length / q.exact;
+          }
+          if (options_.record_paths) {
+            path_refs_[i] = PathRef{worker, ba.path_off, ba.path_len};
+          }
+          ++nq;
+          if (out.delivered()) ++nd;
+          nhops += out.hops;
+          if (out.header_bits > maxhb) maxhb = out.header_bits;
+        }
+        Shard& shard = shards_[worker];
+        // queries before delivered (release): see the Shard comment.
+        shard.queries.fetch_add(nq, std::memory_order_relaxed);
+        shard.delivered.fetch_add(nd, std::memory_order_release);
+        shard.total_hops.fetch_add(nhops, std::memory_order_relaxed);
+        atomic_fetch_max(shard.max_header_bits, maxhb);
+        shard.busy_seconds.fetch_add(
+            std::chrono::duration<double>(end - begin).count(),
+            std::memory_order_relaxed);
+        if (metrics_ != nullptr) {
+          hist_queue_wait_->record_n(worker, wait_us, hi - lo);
+          ctr_queries_->add(worker, nq);
+          ctr_delivered_->add(worker, nd);
+          // Latencies repeat per pipeline generation — record each run
+          // of equal values once (a few adds per chunk, not per query).
+          std::uint32_t j = 0;
+          while (j < hi - lo) {
+            std::uint32_t run = 1;
+            while (j + run < hi - lo &&
+                   ws.answers[j + run].latency_us ==
+                       ws.answers[j].latency_us) {
+              ++run;
+            }
+            hist_latency_->record_n(worker, ws.answers[j].latency_us, run);
+            j += run;
+          }
+        }
+      },
+      1);
   if (options_.record_paths) {
     // Arenas are append-only during the batch; pointers are stable now.
     for (std::size_t i = 0; i < answers.size(); ++i) {

@@ -53,13 +53,13 @@
 /// resolved view). The memo's label views point into the batch's pinned
 /// package, so a concurrent swap can never dangle them.
 ///
-/// Batch-pipelined serving: with `batch_group > 0` (default 16) each
-/// worker routes its chunk through a FlatBatchEngine
-/// (core/flat_batch.hpp) — batch_group queries' descents interleaved in a
-/// software pipeline, each lane's next dependent load prefetched while
-/// the other lanes compute, so one worker keeps G cache misses in flight
-/// instead of one. Answers are byte-identical to scalar serving
-/// (batch_group = 0 keeps the scalar loop; route_one is always scalar).
+/// Batch-pipelined serving: every route() batch runs through the workers'
+/// FlatBatchEngines (core/flat_batch.hpp) — batch_group (default 16)
+/// queries' descents interleaved in a software pipeline, each lane's next
+/// dependent load prefetched while the other lanes compute, so one worker
+/// keeps G cache misses in flight instead of one. route_one serves a
+/// single query on the scalar FlatRouter path; both are byte-identical to
+/// the sim/ reference walk.
 ///
 /// Telemetry: every answer records status, walk length, hops, header bits
 /// and — when the query carries its exact distance — stretch; the service
@@ -209,13 +209,10 @@ struct RouteAnswer {
   std::uint32_t hops = 0;       ///< edges traversed
   std::uint64_t header_bits = 0;  ///< wire size of the carried header
   double stretch = 0;           ///< length / exact (delivered, exact known)
-  /// Service time at the worker (telemetry). Scalar serving measures each
-  /// query's own wall time; batch-pipelined serving (batch_group > 0)
-  /// reports the query's amortized share of its pipeline generation's
-  /// wall time — G queries run interleaved, so per-lane wall time would
-  /// charge every query for all G. Latency percentiles from the two modes
-  /// are therefore different metrics (bench rows carry a latency_metric
-  /// marker).
+  /// Service time at the worker (telemetry). For a route() batch it is
+  /// the query's amortized share of its pipeline generation's wall time
+  /// — G queries run interleaved, so per-lane wall time would charge
+  /// every query for all G. route_one measures its own query's wall time.
   ///
   /// latency_us is pure SERVICE time: the clock starts when a worker
   /// dequeues the query's chunk, not when route() was called. The
@@ -225,9 +222,8 @@ struct RouteAnswer {
   /// grouped destination batches; keep them separate when aggregating.
   double latency_us = 0;
   /// Queue wait (µs): batch dispatch → the owning worker dequeued this
-  /// query's chunk. Batched serving measures it per chunk (every query in
-  /// a chunk shares the value); scalar serving per query. Zero for
-  /// route_one (no pool dispatch).
+  /// query's chunk, measured once per chunk (every query in a chunk
+  /// shares the value). Zero for route_one (no pool dispatch).
   double queue_wait_us = 0;
   PathView path;  ///< visited vertices (record_paths); stamp-guarded view
 
@@ -307,7 +303,7 @@ struct ServiceTelemetry {
 /// other only through the per-batch scratch: one *driver* thread calls
 /// route() at a time; route_one (record_paths off) is safe from any
 /// thread, concurrently with batches AND with publish(). publish() is
-/// safe from any thread, and so is snapshot()/telemetry() — shards are
+/// safe from any thread, and so is snapshot() — shards are
 /// relaxed atomics merged with an ordering that keeps delivered <=
 /// queries in every snapshot (see snapshot()).
 class RouteService {
@@ -399,9 +395,6 @@ class RouteService {
   /// observes some prefix of each shard's stream, exact once recording
   /// quiesces.
   ServiceTelemetry snapshot() const;
-
-  /// Alias for snapshot(), kept for existing call sites.
-  ServiceTelemetry telemetry() const { return snapshot(); }
 
   /// The service's metric registry (histograms, counters, gauges — see
   /// the croute_* names in README "Observability"), or nullptr when
@@ -562,7 +555,7 @@ class RouteService {
   std::atomic<std::uint64_t> swap_seq_{0};
 
   // Swap/rebuild telemetry (atomic: publish/record_rebuild may run on a
-  // background thread while the driver thread reads telemetry()).
+  // background thread while the driver thread reads snapshot()).
   std::atomic<std::uint64_t> rebuilds_{0};
   std::atomic<double> rebuild_seconds_{0};
   std::atomic<double> flat_compile_seconds_{0};
@@ -613,7 +606,7 @@ class RouteService {
   std::vector<std::vector<VertexId>> arenas_;
   mutable std::vector<VertexId> one_arena_;
 
-  // Per-worker pipelined engines (batch_group > 0).
+  // Per-worker pipelined engines.
   std::vector<BatchScratch> batch_scratch_;
 
   // Reusable per-batch scratch (amortized allocation-free). Touched only

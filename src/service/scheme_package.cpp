@@ -44,10 +44,15 @@ SamplingMode parse_sampling(const std::string& name) {
 }
 
 std::string RouteServiceOptions::validate() const {
-  if ((batch_group != 0 && (batch_group & (batch_group - 1)) != 0) ||
+  if (batch_group == 0) {
+    return "batch_group = 0 (scalar batch serving) was removed: every "
+           "batch runs through the pipelined engine; set batch_group to a "
+           "power of two up to " +
+           std::to_string(kMaxBatchGroup) + " (1 = one descent at a time)";
+  }
+  if ((batch_group & (batch_group - 1)) != 0 ||
       batch_group > kMaxBatchGroup) {
-    return "batch_group must be 0 (scalar serving) or a power of two up "
-           "to " +
+    return "batch_group must be a power of two up to " +
            std::to_string(kMaxBatchGroup) + " (e.g. 16, 32, 64); got " +
            std::to_string(batch_group);
   }
@@ -205,8 +210,6 @@ SchemePackagePtr build_scheme_package_incremental(
   const char* fallback = nullptr;
   if (!is_tz) {
     fallback = "non-tz scheme";
-  } else if (!options.incremental_rebuild) {
-    fallback = "disabled by options";
   } else if (!options.warm_start_path.empty()) {
     fallback = "warm start requested";
   } else if (previous == nullptr || previous->tz == nullptr ||

@@ -82,22 +82,15 @@ struct RouteServiceOptions {
   bool record_paths = false;
   /// Pipeline depth of the batched serving engine (core/flat_batch.hpp):
   /// how many queries' descents one worker keeps in flight, prefetching
-  /// each lane's next load while the others compute. 0 = scalar serving
-  /// (one descent at a time); answers are byte-identical either way.
-  /// At most 4096; 8–16 covers the dev containers we measure on.
+  /// each lane's next load while the others compute. A power of two from
+  /// 1 to 4096 (1 = one descent at a time); answers are byte-identical at
+  /// every depth. 8–16 covers the dev containers we measure on.
   std::uint32_t batch_group = 16;
   /// Worker threads for building a TZ generation (0 = worker_count(),
   /// 1 = serial): one set-up pool covers landmark sampling, the cluster
   /// sweep, table finalization and the flat compile. The built bytes are
   /// identical at every count.
   unsigned compile_threads = 0;
-  /// Rebuild path on topology churn (TZ schemes): true lets
-  /// SchemeManager rebuild delta-aware, reusing every cluster SPT the
-  /// delta provably leaves untouched (core/incremental_rebuild.hpp —
-  /// byte-identical to a from-scratch build on the same seed). false
-  /// forces full preprocessing on every rebuild; RebuildMode::kFull is
-  /// the per-call escape hatch.
-  bool incremental_rebuild = true;
   /// Always-on observability (src/obs/): per-worker latency/queue-wait
   /// histograms, decision counters, and the rebuild trace recorder. The
   /// record path is a couple of relaxed atomic adds per *batch chunk* (not
@@ -210,8 +203,9 @@ SchemePackagePtr build_scheme_package(std::shared_ptr<const Graph> graph,
 /// byte-identical to build_scheme_package(graph, options) — incremental
 /// rebuilds change the cost of a generation, never its content. Falls
 /// back to a full build (recording why in incr_stats.fallback_reason)
-/// when the scheme kind is not TZ, the options disable or preclude the
-/// incremental path, or \p previous is missing/incompatible.
+/// when the scheme kind is not TZ, the options preclude the incremental
+/// path, or \p previous is missing/incompatible. (To force a full build,
+/// call build_scheme_package, or SchemeManager with RebuildMode::kFull.)
 /// Safe to call from a background thread.
 SchemePackagePtr build_scheme_package_incremental(
     SchemePackagePtr previous, std::shared_ptr<const Graph> graph,

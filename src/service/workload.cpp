@@ -338,7 +338,7 @@ ChurnReport run_closed_loop_churn(RouteService& service, SchemeManager& manager,
   std::vector<RouteQuery> stream = traffic;
   for (RouteQuery& q : stream) q.exact = kUnknownDistance;
 
-  const ServiceTelemetry before = service.telemetry();
+  const ServiceTelemetry before = service.snapshot();
   Graph current = service.graph();  // value copy: generations own graphs
   Rng rng(churn.seed);
   std::uint32_t fired = 0;
@@ -418,7 +418,7 @@ ChurnReport run_closed_loop_churn(RouteService& service, SchemeManager& manager,
   manager.wait();
   timed_tail_batch();  // observe the final generation under load
 
-  const ServiceTelemetry after = service.telemetry();
+  const ServiceTelemetry after = service.snapshot();
   report.swaps = after.swaps - before.swaps;
   report.straddled_batches = run_straddled;
   report.max_blackout_us = run_blackout_us;

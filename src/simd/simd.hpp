@@ -24,7 +24,7 @@
 /// kernels compute pure integer functions (no floating point, no
 /// reassociation), the vector code evaluates exactly the scalar
 /// recurrence per lane, and tests/test_simd.cpp pins every compiled-in
-/// ISA against the generic path and the scalar serving path across
+/// ISA against the generic path and the sim/ reference walk across
 /// scheme kinds and group sizes.
 ///
 /// Selection: the best supported ISA wins at first use; the

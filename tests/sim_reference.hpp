@@ -5,13 +5,23 @@
 #pragma once
 
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "core/scheme_io.hpp"
+#include "service/route_service.hpp"
 #include "service/scheme_package.hpp"
 #include "sim/simulator.hpp"
 #include "util/random.hpp"
 
 namespace croute {
+
+/// Reference answers for a batch, shaped as RouteAnswers so a served
+/// batch compares with same_route. answers[i].path views paths[i].
+struct ReferenceBatch {
+  std::vector<std::vector<VertexId>> paths;
+  std::vector<RouteAnswer> answers;
+};
 
 /// The sim/ reference for a service configuration: the scheme
 /// preprocessed from the same seeds build_scheme_package uses (or loaded
@@ -19,6 +29,7 @@ namespace croute {
 /// Simulator's per-scheme adapters.
 struct SimReference {
   SchemeKind kind;
+  bool record_path;
   Simulator sim;
   std::unique_ptr<TZScheme> tz;
   std::unique_ptr<CowenScheme> cowen;
@@ -26,7 +37,9 @@ struct SimReference {
 
   SimReference(const Graph& g, const RouteServiceOptions& opt,
                bool record_path = true)
-      : kind(opt.scheme), sim(g, SimOptions{0, record_path}) {
+      : kind(opt.scheme),
+        record_path(record_path),
+        sim(g, SimOptions{0, record_path}) {
     Rng rng(opt.seed);
     switch (kind) {
       case SchemeKind::kTZDirect:
@@ -60,6 +73,36 @@ struct SimReference {
       case SchemeKind::kFullTable: return route_full(sim, *full, s, t);
     }
     return {};
+  }
+
+  /// The reference answers for \p queries. Self-queries get the
+  /// service's defined answer (delivered, 0 hops, 0 header bits, stretch
+  /// 1, path {s}); the Simulator has no notion of them. Stretch is
+  /// length / exact for delivered queries with a known distance.
+  ReferenceBatch serve(std::span<const RouteQuery> queries) const {
+    ReferenceBatch out;
+    out.paths.resize(queries.size());
+    out.answers.resize(queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const RouteQuery& q = queries[i];
+      RouteAnswer& a = out.answers[i];
+      std::vector<VertexId>& path = out.paths[i];
+      if (q.s == q.t) {
+        a.status = RouteStatus::kDelivered;
+        a.stretch = 1.0;
+        if (record_path) path.push_back(q.s);
+      } else {
+        RouteResult r = route(q.s, q.t);
+        a.status = r.status;
+        a.length = r.length;
+        a.hops = r.hops;
+        a.header_bits = r.header_bits;
+        if (a.delivered() && q.exact > 0) a.stretch = a.length / q.exact;
+        path = std::move(r.path);
+      }
+      a.path = PathView{path.data(), path.size(), nullptr, 0};
+    }
+    return out;
   }
 
   std::uint64_t table_bits(VertexId v) const {

@@ -2,13 +2,17 @@
 // compiled view must agree with the legacy VertexTable / ClusterDirectory
 // / RoutingLabel structures answer-for-answer — same find results, same
 // prepared headers (pivot, tree label, exact wire bits), same per-hop
-// decisions — across k ∈ {2,3,4} and all three routing policies; and
-// RouteService must serve byte-identical answers to the sim/ reference
-// walk (Simulator + the scheme adapters) at every thread count.
+// decisions — across k ∈ {2,3,4} under the paper's decision rule
+// (TZRouter's kMinLevel, the one the flat path serves); and RouteService
+// must serve byte-identical answers to the sim/ reference walk
+// (Simulator + the scheme adapters) at every thread count and pipeline
+// depth.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/flat_batch.hpp"
@@ -24,10 +28,6 @@
 namespace croute {
 namespace {
 
-constexpr RoutingPolicy kPolicies[] = {RoutingPolicy::kMinLevel,
-                                       RoutingPolicy::kMinEstimate,
-                                       RoutingPolicy::kLabelOnly};
-
 struct FlatFixture {
   Graph g;
   std::unique_ptr<TZScheme> scheme;
@@ -38,7 +38,9 @@ struct FlatFixture {
     g = make_workload(family, n, grng);
     TZSchemeOptions opt;
     opt.pre.k = k;
-    opt.labels_carry_distances = true;  // enables kMinEstimate
+    // Distance-carrying labels: the wire decoder must skip the field
+    // the flat label views do not hold.
+    opt.labels_carry_distances = true;
     Rng rng(seed + 1);
     scheme = std::make_unique<TZScheme>(g, opt, rng);
   }
@@ -87,8 +89,6 @@ TEST(FlatScheme, FindMatchesLegacyLookup) {
       for (const TableEntry& e : fx.scheme->table(v).entries()) {
         const std::uint32_t idx = flat.find(v, e.w);
         ASSERT_NE(idx, FlatScheme::kNotFound);
-        EXPECT_EQ(flat.dist(idx), e.dist);
-        EXPECT_EQ(flat.level(idx), e.level);
         EXPECT_EQ(flat.record(idx).dfs_in, e.record.dfs_in);
         EXPECT_EQ(flat.record(idx).parent_port, e.record.parent_port);
         const TreeLabel own = fx.scheme->table(v).own_label(e);
@@ -132,14 +132,12 @@ TEST(FlatScheme, PrepareAndStepMatchLegacyEverywhere) {
     const FlatScheme flat(*fx.scheme);
     const FlatRouter frouter(flat);
     for (const PairSample& p : all_pairs(fx.g)) {
-      for (const RoutingPolicy policy : kPolicies) {
-        const TZHeader lh =
-            router.prepare(p.s, fx.scheme->label(p.t), policy);
-        const FlatHeader fh = frouter.prepare(p.s, p.t, policy);
+      {
+        const TZHeader lh = router.prepare(p.s, fx.scheme->label(p.t),
+                                           RoutingPolicy::kMinLevel);
+        const FlatHeader fh = frouter.prepare(p.s, p.t);
         expect_same_header(lh, fh, router);
-        if (policy == RoutingPolicy::kMinLevel) {
-          expect_same_walk(fx.g, p.s, p.t, router, lh, frouter, fh);
-        }
+        expect_same_walk(fx.g, p.s, p.t, router, lh, frouter, fh);
       }
       const TZHeader lh = router.prepare_handshake(p.s, p.t);
       const FlatHeader fh = frouter.prepare_handshake(p.s, p.t);
@@ -161,6 +159,43 @@ TEST(FlatScheme, PrepareResolvedMatchesPrepare) {
     EXPECT_EQ(a.light, b.light);
     EXPECT_EQ(a.light_len, b.light_len);
     EXPECT_EQ(a.bits, b.bits);
+  }
+}
+
+// decode_wire_label on a distance-carrying codec: each encoded entry
+// holds its level and a 64-bit d(w, t) that the flat label views do not
+// keep, so the decoder must read past both. For every t it must consume
+// exactly the encoded bits and return the pooled label's pivots, dfs
+// indices and light ports.
+TEST(FlatScheme, WireLabelDecodeSkipsCarriedDistances) {
+  for (const std::uint32_t k : {2u, 3u, 4u}) {
+    const FlatFixture fx(k, 150, 600 + k);
+    const LabelCodec& codec = fx.scheme->label_codec();
+    ASSERT_TRUE(codec.carries_distances());
+    const FlatScheme flat(*fx.scheme);
+    const VertexId n = fx.g.num_vertices();
+    for (VertexId t = 0; t < n; ++t) {
+      BitWriter w;
+      codec.encode(fx.scheme->label(t), w);
+      BitReader r(w);
+      std::vector<FlatScheme::LabelEntryView> entries;
+      std::vector<Port> ports;
+      ASSERT_EQ(decode_wire_label(codec, n, r, entries, ports), t);
+      ASSERT_EQ(r.position(), w.bit_size()) << "k=" << k << " t=" << t;
+      const std::span<const FlatScheme::LabelEntryView> pooled =
+          flat.label(t);
+      ASSERT_EQ(entries.size(), pooled.size()) << "k=" << k << " t=" << t;
+      for (std::size_t j = 0; j < entries.size(); ++j) {
+        ASSERT_EQ(entries[j].w, pooled[j].w);
+        ASSERT_EQ(entries[j].dfs_in, pooled[j].dfs_in);
+        const std::span<const Port> got(ports.data() + entries[j].light_off,
+                                        entries[j].light_len);
+        const std::span<const Port> want = flat.label_light_ports(pooled[j]);
+        ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(),
+                               want.end()))
+            << "k=" << k << " t=" << t << " entry " << j;
+      }
+    }
   }
 }
 
@@ -266,11 +301,11 @@ TEST(FlatService, DestinationMemoMatchesRouteOne) {
   }
 }
 
-// The batch-pipelined engine must serve byte-identical answers to scalar
-// serving for every scheme kind and every pipeline depth — including a group of 1, ragged final generations (query count
-// not divisible by the group), and self-queries. The scalar reference is
-// the same service with batch_group = 0.
-TEST(FlatBatch, BatchedMatchesScalarAcrossKindsAndGroups) {
+// The batch-pipelined engine must serve byte-identical answers to the
+// sim/ reference walk for every scheme kind and every pipeline depth —
+// including a group of 1, ragged final generations (query count not
+// divisible by the group), and self-queries.
+TEST(FlatBatch, BatchedMatchesSimAcrossKindsAndGroups) {
   Rng grng(71);
   const Graph g = make_workload(GraphFamily::kErdosRenyi, 260, grng);
   Rng prng(72);
@@ -287,26 +322,23 @@ TEST(FlatBatch, BatchedMatchesScalarAcrossKindsAndGroups) {
     for (const SchemeKind kind :
          {SchemeKind::kTZDirect, SchemeKind::kTZHandshake, SchemeKind::kCowen,
           SchemeKind::kFullTable}) {
-      RouteServiceOptions scalar_opt;
-      scalar_opt.scheme = kind;
-      scalar_opt.threads = 2;
-      scalar_opt.k = k;
-      scalar_opt.seed = 73;
-      scalar_opt.record_paths = true;
-      scalar_opt.batch_group = 0;  // scalar reference
-      RouteService scalar(g, scalar_opt);
-      const std::vector<RouteAnswer> reference =
-          scalar.route_collect(queries);
+      RouteServiceOptions base;
+      base.scheme = kind;
+      base.threads = 2;
+      base.k = k;
+      base.seed = 73;
+      base.record_paths = true;
+      const ReferenceBatch reference = SimReference(g, base).serve(queries);
 
       for (const std::uint32_t group : {1u, 4u, 8u, 16u}) {
-        RouteServiceOptions opt = scalar_opt;
+        RouteServiceOptions opt = base;
         opt.batch_group = group;
         RouteService batched(g, opt);
         const std::vector<RouteAnswer> answers =
             batched.route_collect(queries);
-        ASSERT_EQ(answers.size(), reference.size());
+        ASSERT_EQ(answers.size(), reference.answers.size());
         for (std::size_t i = 0; i < answers.size(); ++i) {
-          ASSERT_TRUE(same_route(reference[i], answers[i]))
+          ASSERT_TRUE(same_route(reference.answers[i], answers[i]))
               << scheme_name(kind) << " k=" << k << " group=" << group
               << " diverges at query " << i;
         }
@@ -315,9 +347,9 @@ TEST(FlatBatch, BatchedMatchesScalarAcrossKindsAndGroups) {
   }
 }
 
-// The batched path must reject out-of-range endpoints up front like the
-// scalar path does (the engine itself never bounds-checks — the grouping
-// pass is the gate for both endpoints).
+// The batched path must reject out-of-range endpoints up front (the
+// engine itself never bounds-checks — the grouping pass is the gate for
+// both endpoints).
 TEST(FlatBatch, RejectsOutOfRangeEndpoints) {
   Rng grng(41);
   const Graph g = make_workload(GraphFamily::kErdosRenyi, 80, grng);
@@ -426,7 +458,7 @@ TEST(FlatScheme, ParallelCompileMatchesSerial) {
       const std::uint32_t b = parallel.find(v, e.w);
       ASSERT_EQ(a, b);
       ASSERT_NE(a, FlatScheme::kNotFound);
-      ASSERT_EQ(serial.dist(a), parallel.dist(b));
+      ASSERT_EQ(serial.record(a).dfs_in, parallel.record(b).dfs_in);
       ASSERT_EQ(serial.own_dfs(a), parallel.own_dfs(b));
       const auto pa = serial.own_light_ports(a);
       const auto pb = parallel.own_light_ports(b);

@@ -157,7 +157,7 @@ TEST(SchemePackage, PublishedGenerationMatchesFreshService) {
   EXPECT_EQ(service.graph().num_edges(), g1.num_edges());
   expect_same_answers(service.route_collect(queries),
                       fresh1.route_collect(queries), "after swap");
-  const ServiceTelemetry tel = service.telemetry();
+  const ServiceTelemetry tel = service.snapshot();
   EXPECT_EQ(tel.swaps, 1u);
 }
 
@@ -250,7 +250,7 @@ TEST(HotSwap, DeterministicUnderConcurrentBatchesAtEveryThreadCount) {
         expect_same_answers(service.route_collect(queries), reference[version],
                             "settled after swap");
       }
-      const ServiceTelemetry tel = service.telemetry();
+      const ServiceTelemetry tel = service.snapshot();
       EXPECT_EQ(tel.swaps, schedule.size());
       EXPECT_EQ(tel.rebuilds, schedule.size());
       EXPECT_GT(tel.rebuild_seconds, 0.0);
@@ -275,7 +275,7 @@ TEST(SchemeManager, RebuildNowSwapsSynchronously) {
   const std::vector<RouteQuery> queries = swap_queries(g0, 200);
   expect_same_answers(service.route_collect(queries),
                       fresh.route_collect(queries), "rebuild_now");
-  const ServiceTelemetry tel = service.telemetry();
+  const ServiceTelemetry tel = service.snapshot();
   EXPECT_EQ(tel.rebuilds, 1u);
   EXPECT_GT(tel.rebuild_seconds, 0.0);
   // Flat-compile attribution: the TZ flat path reports where the rebuild
@@ -327,7 +327,7 @@ TEST(ChurnDriver, CompletesAllCyclesAndReportsSwapTelemetry) {
   const std::vector<RouteQuery> probe = swap_queries(g0, 300);
   expect_same_answers(service.route_collect(probe), fresh.route_collect(probe),
                       "final generation");
-  const ServiceTelemetry tel = service.telemetry();
+  const ServiceTelemetry tel = service.snapshot();
   EXPECT_EQ(tel.swaps, 3u);
   // Driver-side straddle detection encloses the service's window, so the
   // per-run count dominates the service-lifetime counter (fresh service:

@@ -301,13 +301,14 @@ TEST(IncrementalPackage, FallsBackWithRecordedReason) {
   EXPECT_FALSE(p1->incr_stats.used);
   EXPECT_STREQ(p1->incr_stats.fallback_reason, "no previous generation");
 
-  // Disabled by options.
-  RouteServiceOptions off = opt;
-  off.incremental_rebuild = false;
-  auto p2 = build_scheme_package_incremental(
-      p1, std::make_shared<const Graph>(g), off);
+  // A full rebuild is asked for per call (RebuildMode::kFull), not by an
+  // option: it reuses nothing and, not being a fallback, records no
+  // reason.
+  RouteService service(g, opt);
+  SchemeManager manager(service);
+  const SchemePackagePtr p2 = manager.rebuild_now(g, RebuildMode::kFull);
   EXPECT_FALSE(p2->incr_stats.used);
-  EXPECT_STREQ(p2->incr_stats.fallback_reason, "disabled by options");
+  EXPECT_EQ(p2->incr_stats.fallback_reason, nullptr);
 
   // Changed construction options.
   RouteServiceOptions reseeded = opt;
@@ -405,7 +406,7 @@ TEST(IncrementalHotSwap, AsyncIncrementalCyclesUnderLiveBatches) {
           << "cycle " << cycle << " diverges at " << i;
     }
   }
-  const ServiceTelemetry t = service.telemetry();
+  const ServiceTelemetry t = service.snapshot();
   EXPECT_EQ(t.incremental_rebuilds, 3u);
   EXPECT_GT(t.clusters_total, 0u);
   EXPECT_GT(t.incremental_preprocess_seconds, 0.0);

@@ -308,7 +308,7 @@ TEST(ServiceObs, MetricsAgreeWithTelemetry) {
   run_closed_loop(service, traffic, dopt);
   service.route_one(traffic.front());
 
-  const ServiceTelemetry tel = service.telemetry();
+  const ServiceTelemetry tel = service.snapshot();
   const obs::MetricsSnapshot snap =
       obs::snapshot_metrics(*service.metrics_registry());
   EXPECT_EQ(snap.find_counter("croute_queries_total{scheme=\"tz\"}")->value,
@@ -340,7 +340,7 @@ TEST(ServiceObs, MetricsOffDisablesRegistryAndCostsNothing) {
   const auto traffic = make_traffic(g, WorkloadKind::kUniform, 500, trng);
   const auto answers = service.route_collect(traffic);
   EXPECT_EQ(answers.size(), traffic.size());
-  EXPECT_EQ(service.telemetry().queries, traffic.size());
+  EXPECT_EQ(service.snapshot().queries, traffic.size());
 }
 
 // The satellite invariant: snapshot() from ANY thread, while batches are
@@ -428,7 +428,7 @@ TEST(ServiceObs, RebuildTraceSpansSumToTelemetryAttribution) {
   manager.rebuild_now(perturb_graph(g, drng, localized),
                       RebuildMode::kIncremental);
 
-  const ServiceTelemetry tel = service.telemetry();
+  const ServiceTelemetry tel = service.snapshot();
   ASSERT_EQ(tel.incremental_rebuilds, 1u);
   ASSERT_GT(tel.incremental_preprocess_seconds, 0);
   ASSERT_NE(service.trace_recorder(), nullptr);

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -169,8 +170,6 @@ void expect_same_flat(const FlatScheme& a, const FlatScheme& b) {
       ASSERT_EQ(std::memcmp(&a.record(tbl), &b.record(tbl),
                             sizeof(TreeNodeRecord)),
                 0);
-      ASSERT_EQ(a.dist(tbl), b.dist(tbl));
-      ASSERT_EQ(a.level(tbl), b.level(tbl));
       ASSERT_EQ(a.own_dfs(tbl), b.own_dfs(tbl));
       ASSERT_TRUE(same_ports(a.own_light_ports(tbl), b.own_light_ports(tbl)));
     }
@@ -186,9 +185,7 @@ void expect_same_flat(const FlatScheme& a, const FlatScheme& b) {
     const auto lb = b.label(v);
     ASSERT_EQ(la.size(), lb.size()) << "vertex " << v;
     for (std::size_t i = 0; i < la.size(); ++i) {
-      ASSERT_EQ(la[i].level, lb[i].level);
       ASSERT_EQ(la[i].w, lb[i].w);
-      ASSERT_EQ(la[i].dist, lb[i].dist);
       ASSERT_EQ(la[i].dfs_in, lb[i].dfs_in);
       ASSERT_EQ(la[i].light_off, lb[i].light_off);
       ASSERT_TRUE(same_ports(a.label_light_ports(la[i]),
@@ -611,6 +608,55 @@ TEST(ArtifactStore, CorruptLiveFallsBackOneGeneration) {
   EXPECT_EQ(rec.rejected.size(), 1u);
 }
 
+// The recovery note says why candidates were rejected, not only how many
+// (croute_persist_artifacts_rejected_total counts them): the first three
+// "file: reason" strings, then "+N more" — and the service's
+// recovery_note() carries it through.
+TEST(ArtifactStore, RecoveryNoteNamesRejectionReasons) {
+  const std::string dir = scratch_dir("store_note");
+  const Graph g = test_graph(21, 150);
+  const RouteServiceOptions opt = base_options(SchemeKind::kTZDirect);
+  const SchemePackagePtr pkg = build(g, opt);
+  persist::ArtifactStore store({dir, 5});
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(store.publish_generation(*pkg).ok);
+  const auto rot = [&](int generation) {
+    char name[32];
+    std::snprintf(name, sizeof name, "/scheme-%08d.art", generation);
+    std::fstream f(dir + name, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(40000);
+    f.put('\x7e');
+  };
+  // One bad candidate: the recovered note names it and its reason.
+  rot(5);
+  persist::RecoverResult rec = store.recover_newest(opt, g.num_vertices());
+  ASSERT_NE(rec.package, nullptr) << rec.note;
+  ASSERT_EQ(rec.rejected.size(), 1u);
+  EXPECT_EQ(rec.rejected[0].rfind("scheme-00000005.art: ", 0), 0u)
+      << rec.rejected[0];
+  EXPECT_NE(rec.note.find(rec.rejected[0].substr(0, 197)), std::string::npos)
+      << rec.note;
+
+  // Every candidate bad: the first three reasons, then the count.
+  for (int generation = 1; generation <= 4; ++generation) rot(generation);
+  rec = store.recover_newest(opt, g.num_vertices());
+  EXPECT_EQ(rec.package, nullptr);
+  ASSERT_EQ(rec.rejected.size(), 5u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_NE(rec.note.find(rec.rejected[i].substr(0, 197)),
+              std::string::npos)
+        << rec.note;
+  }
+  const std::string fourth = rec.rejected[3].substr(0, rec.rejected[3].find(':'));
+  EXPECT_EQ(rec.note.find(fourth), std::string::npos) << rec.note;
+  EXPECT_NE(rec.note.find("+2 more"), std::string::npos) << rec.note;
+
+  RouteServiceOptions svc_opt = opt;
+  svc_opt.persist.dir = dir;
+  RouteService svc(g, svc_opt);
+  EXPECT_FALSE(svc.recovered_from_artifact());
+  EXPECT_EQ(svc.recovery_note(), rec.note);
+}
+
 TEST(ArtifactStore, VertexCountMismatchIsRejectedWithReason) {
   const std::string dir = scratch_dir("store_nmismatch");
   const Graph g = test_graph(18, 150);
@@ -648,7 +694,7 @@ TEST_P(PersistLifecycle, RecoveredServiceAnswersIdentically) {
 
   RouteService first(g, opt);  // fresh build; persists generation 1
   EXPECT_FALSE(first.recovered_from_artifact());
-  EXPECT_EQ(first.telemetry().artifacts_persisted, 1u);
+  EXPECT_EQ(first.snapshot().artifacts_persisted, 1u);
 
   RouteService second(g, opt);  // must recover, not rebuild
   EXPECT_TRUE(second.recovered_from_artifact()) << second.recovery_note();
@@ -708,7 +754,7 @@ TEST(PersistLifecycle, RebuildPersistsNextGenerationInBackground) {
   Rng rng(5);
   manager.rebuild_async(perturb_graph(g, rng));
   manager.wait();
-  EXPECT_EQ(svc.telemetry().artifacts_persisted, 2u);
+  EXPECT_EQ(svc.snapshot().artifacts_persisted, 2u);
   // The new generation is on disk and recovers for the NEW topology.
   persist::ArtifactStore store({dir, 2});
   EXPECT_EQ(store.newest_generation(), 2u);
@@ -727,7 +773,7 @@ TEST(PersistLifecycle, RebuildRetriesWithBackoffThenSurfaces) {
   b.add_edge(3, 4).add_edge(4, 5);
   manager.rebuild_async(b.build());
   EXPECT_THROW(manager.wait(), std::invalid_argument);
-  EXPECT_EQ(svc.telemetry().rebuild_retries, 2u);
+  EXPECT_EQ(svc.snapshot().rebuild_retries, 2u);
   // The service still serves the original generation.
   const std::vector<RouteQuery> queries = probe_queries(g, 200);
   EXPECT_EQ(svc.route_collect(queries).size(), queries.size());
@@ -757,7 +803,7 @@ TEST(PersistLifecycle, PersistFailureIsCountedNotFatal) {
   svc.artifact_store()->fault_injector().arm(
       {persist::FaultAction::kEnospc, persist::FaultOp::kWrite, 1});
   EXPECT_FALSE(svc.persist_current());
-  const ServiceTelemetry tel = svc.telemetry();
+  const ServiceTelemetry tel = svc.snapshot();
   EXPECT_EQ(tel.artifacts_persisted, 1u);  // the construction-time persist
   EXPECT_EQ(tel.persist_failures, 1u);
   // Serving is untouched.

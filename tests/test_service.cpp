@@ -238,6 +238,49 @@ TEST(RouteService, WarmStartServesIdenticalAnswers) {
   std::remove(path.c_str());
 }
 
+// A scheme_io warm start is how a service comes to serve labels that
+// carry distances (fresh builds never set labels_carry_distances). The
+// wire decoder must skip those fields on both label-addressed paths —
+// route() and route_one — and answer exactly as the sim/ reference
+// routes the same scheme.
+TEST(RouteService, WarmStartWithDistanceLabelsServesWireLabels) {
+  const ServiceFixture fx;
+  TZSchemeOptions topt;
+  topt.pre.k = 3;
+  topt.labels_carry_distances = true;
+  Rng rng(31);
+  const TZScheme carrying(fx.g, topt, rng);
+  const std::string path = "test_service_warm_dist.bin";
+  save_scheme_file(path, carrying);
+
+  RouteServiceOptions opt = service_options(SchemeKind::kTZDirect, 2);
+  opt.warm_start_path = path;
+  RouteService service(fx.g, opt);
+  ASSERT_TRUE(service.tz_scheme()->label_codec().carries_distances());
+
+  const std::vector<RouteQuery> queries = fx.queries();
+  std::vector<std::vector<std::uint8_t>> bytes(queries.size());
+  std::vector<RouteRequest> requests(queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    BitWriter w;
+    carrying.label_codec().encode(carrying.label(queries[i].t), w);
+    bytes[i] = to_bytes(w);
+    requests[i].s = queries[i].s;
+    requests[i].label = bytes[i];
+    requests[i].label_bits = static_cast<std::uint32_t>(w.bit_size());
+    requests[i].exact = queries[i].exact;
+  }
+  const ReferenceBatch reference = SimReference(fx.g, opt).serve(queries);
+  const std::vector<RouteAnswer> batch = service.route_collect(requests);
+  ASSERT_EQ(batch.size(), queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE(same_route(reference.answers[i], batch[i])) << "pair " << i;
+    ASSERT_TRUE(same_route(reference.answers[i], service.route_one(requests[i])))
+        << "pair " << i;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(RouteService, WarmStartRejectedForNonTZ) {
   const ServiceFixture fx;
   RouteServiceOptions opt = service_options(SchemeKind::kCowen, 1);
@@ -251,7 +294,7 @@ TEST(RouteService, TelemetryCountsServedQueries) {
   const std::vector<RouteQuery> queries = fx.queries();
   service.route_collect(queries);
   service.route_collect(queries);
-  const ServiceTelemetry tel = service.telemetry();
+  const ServiceTelemetry tel = service.snapshot();
   EXPECT_EQ(tel.queries, 2 * queries.size());
   EXPECT_EQ(tel.delivered, 2 * queries.size());
   EXPECT_EQ(tel.batches, 2u);
@@ -386,10 +429,11 @@ TEST(Workload, AttachExactTreatsZeroAndKnownAsSolved) {
 
 TEST(RouteService, SelfQueriesHaveDefinedAnswers) {
   // s == t must be delivered with 0 hops, 0 length, 0 header bits and
-  // stretch exactly 1 — in pipelined and scalar batches and route_one,
-  // and the generators' sentinel must never make stretch read as 0.
+  // stretch exactly 1 — in batches at every pipeline depth (a group of
+  // one included) and route_one, and the generators' sentinel must never
+  // make stretch read as 0.
   const ServiceFixture fx;
-  for (const std::uint32_t group : {16u, 0u}) {
+  for (const std::uint32_t group : {16u, 1u}) {
     RouteServiceOptions opt = service_options(SchemeKind::kTZDirect, 3);
     opt.batch_group = group;
     RouteService service(fx.g, opt);
@@ -434,6 +478,14 @@ TEST(ServiceCli, RejectsOutOfRangeIntegerFlags) {
           << e.what();
     }
   }
+  // 0 is not a pipeline depth: validate() rejects it, naming the field.
+  try {
+    parse({"--batch-group=0"});
+    ADD_FAILURE() << "--batch-group=0 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("batch_group"), std::string::npos)
+        << e.what();
+  }
   const ServiceSetup ok =
       parse({"--threads=2", "--n=500", "--batch-group=32"});
   EXPECT_EQ(ok.service.threads, 2u);
@@ -447,10 +499,10 @@ TEST(RouteService, RouteOneLandsInTelemetry) {
                                              /*record_paths=*/false));
   const std::vector<RouteQuery> queries = fx.queries();
   service.route_collect(queries);
-  const ServiceTelemetry before = service.telemetry();
+  const ServiceTelemetry before = service.snapshot();
   EXPECT_EQ(before.queries, queries.size());
   for (int i = 0; i < 5; ++i) service.route_one(queries[i]);
-  const ServiceTelemetry after = service.telemetry();
+  const ServiceTelemetry after = service.snapshot();
   EXPECT_EQ(after.queries, queries.size() + 5);
   EXPECT_EQ(after.delivered, queries.size() + 5);
   EXPECT_GE(after.total_hops, before.total_hops);
@@ -508,7 +560,7 @@ TEST(ServiceStress, AllSchemesManyBatchesConcurrently) {
         }
       }
     }
-    const ServiceTelemetry tel = service.telemetry();
+    const ServiceTelemetry tel = service.snapshot();
     EXPECT_EQ(tel.queries, 3 * queries.size());
   }
 }

@@ -8,9 +8,9 @@
 //    retirement times;
 //  - engine level: forcing each implementation, the batch-pipelined
 //    RouteService must serve byte-identical answers (same_route: status,
-//    length, hops, header bits, stretch, path) to the scalar
-//    batch_group = 0 path — the pre-SIMD reference — for every scheme
-//    kind and G ∈ {16, 32, 64}.
+//    length, hops, header bits, stretch, path) to the sim/ reference
+//    walk — kernel-free by construction — for every scheme kind and
+//    G ∈ {16, 32, 64}.
 //
 // Plus the dispatcher contract: name round-trips, generic always
 // available, force() refusing unavailable ISAs, and an unknown
@@ -28,6 +28,7 @@
 #include "service/route_service.hpp"
 #include "service/workload.hpp"
 #include "sim/experiment.hpp"
+#include "sim_reference.hpp"
 #include "simd/simd.hpp"
 #include "util/random.hpp"
 
@@ -152,7 +153,7 @@ TEST(SimdKernels, EytzingerBatchMatchesScalarOnEveryIsa) {
 }
 
 // The full serving matrix: forced ISA × scheme kind × batch group, all
-// compared against the scalar (batch_group = 0, kernel-free) path. One
+// compared against the sim/ reference walk (kernel-free). One
 // batched service per (kind, G) is reused across ISAs — the engine
 // re-reads simd::ops() per probe round, so a force takes effect on the
 // next batch.
@@ -173,27 +174,25 @@ TEST(SimdEngine, CrossIsaRoutesAreByteIdentical) {
   for (const SchemeKind kind :
        {SchemeKind::kTZDirect, SchemeKind::kTZHandshake, SchemeKind::kCowen,
         SchemeKind::kFullTable}) {
-    RouteServiceOptions scalar_opt;
-    scalar_opt.scheme = kind;
-    scalar_opt.threads = 2;
-    scalar_opt.k = 3;
-    scalar_opt.seed = 173;
-    scalar_opt.record_paths = true;
-    scalar_opt.batch_group = 0;  // the kernel-free scalar reference
-    RouteService scalar(g, scalar_opt);
-    const std::vector<RouteAnswer> reference = scalar.route_collect(queries);
+    RouteServiceOptions base;
+    base.scheme = kind;
+    base.threads = 2;
+    base.k = 3;
+    base.seed = 173;
+    base.record_paths = true;
+    const ReferenceBatch reference = SimReference(g, base).serve(queries);
 
     for (const std::uint32_t group : {16u, 32u, 64u}) {
-      RouteServiceOptions opt = scalar_opt;
+      RouteServiceOptions opt = base;
       opt.batch_group = group;
       RouteService batched(g, opt);
       for (const simd::Isa isa : isas) {
         ASSERT_TRUE(simd::force(isa));
         const std::vector<RouteAnswer> answers =
             batched.route_collect(queries);
-        ASSERT_EQ(answers.size(), reference.size());
+        ASSERT_EQ(answers.size(), reference.answers.size());
         for (std::size_t i = 0; i < answers.size(); ++i) {
-          ASSERT_TRUE(same_route(reference[i], answers[i]))
+          ASSERT_TRUE(same_route(reference.answers[i], answers[i]))
               << scheme_name(kind) << " G=" << group
               << " isa=" << simd::isa_name(isa) << " diverges at query "
               << i;
@@ -204,8 +203,10 @@ TEST(SimdEngine, CrossIsaRoutesAreByteIdentical) {
 }
 
 // Non-power-of-two pipeline groups must be rejected up front with a
-// clear error (the sweep grid and the CLI flags promise powers of two).
-TEST(SimdEngine, ServiceRejectsNonPowerOfTwoBatchGroup) {
+// clear error (the sweep grid and the CLI flags promise powers of two),
+// and so must 0: the scalar batch loop it selected is gone, and the
+// message says so by the field's name.
+TEST(SimdEngine, ServiceRejectsZeroAndNonPowerOfTwoBatchGroup) {
   Rng grng(11);
   const Graph g = make_workload(GraphFamily::kErdosRenyi, 40, grng);
   RouteServiceOptions opt;
@@ -217,7 +218,11 @@ TEST(SimdEngine, ServiceRejectsNonPowerOfTwoBatchGroup) {
   // arrays to it on the first batch.
   opt.batch_group = std::uint32_t{1} << 31;
   EXPECT_THROW(RouteService(g, opt), std::invalid_argument);
-  opt.batch_group = 0;  // scalar path stays allowed
+  opt.batch_group = 0;
+  EXPECT_NE(opt.validate().find("batch_group"), std::string::npos)
+      << opt.validate();
+  EXPECT_THROW(RouteService(g, opt), std::invalid_argument);
+  opt.batch_group = 1;  // the smallest pipeline: one descent at a time
   EXPECT_NO_THROW(RouteService(g, opt));
 }
 
