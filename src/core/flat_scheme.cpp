@@ -468,4 +468,12 @@ VertexId decode_wire_label(const LabelCodec& codec, VertexId n, BitReader& r,
   return t;
 }
 
+VertexId wire_label_target(const LabelCodec& codec,
+                           std::span<const std::uint8_t> bytes,
+                           std::uint64_t bits) {
+  CROUTE_REQUIRE(bits >= codec.id_bits(), "label too short for its id field");
+  BitReader r(bytes, bits);
+  return static_cast<VertexId>(r.read_bits(codec.id_bits()));
+}
+
 }  // namespace croute

@@ -586,4 +586,12 @@ VertexId decode_wire_label(const LabelCodec& codec, VertexId n, BitReader& r,
                            std::vector<FlatScheme::LabelEntryView>& entries,
                            std::vector<Port>& ports);
 
+/// The target id in a wire label's leading id field (\p bits bits packed
+/// LSB-first in \p bytes), read without decoding the rest. Throws
+/// std::invalid_argument when the label is shorter than that field; the
+/// id itself is not range-checked.
+VertexId wire_label_target(const LabelCodec& codec,
+                           std::span<const std::uint8_t> bytes,
+                           std::uint64_t bits);
+
 }  // namespace croute

@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -226,19 +227,29 @@ std::vector<WireAnswer> NetClient::query(std::span<const WireQuery> queries,
 
 std::vector<OwnedLabel> NetClient::fetch_labels(
     std::span<const VertexId> vertices) {
-  send_label_req(vertices);
-  Reply reply;
-  while (read_reply(reply)) {
-    if (reply.type == static_cast<std::uint8_t>(FrameType::kLabelResp)) {
-      return std::move(reply.labels);
-    }
-    if (reply.type == static_cast<std::uint8_t>(FrameType::kError)) {
-      throw std::runtime_error("net client: server error " +
-                               std::to_string(reply.error_code) + ": " +
-                               reply.error_message);
+  std::vector<OwnedLabel> out;
+  out.reserve(vertices.size());
+  for (std::size_t i = 0; i < vertices.size(); i += kLabelsPerRequest) {
+    send_label_req(vertices.subspan(
+        i, std::min(kLabelsPerRequest, vertices.size() - i)));
+    Reply reply;
+    for (;;) {
+      if (!read_reply(reply)) {
+        throw std::runtime_error(
+            "net client: connection closed awaiting labels");
+      }
+      if (reply.type == static_cast<std::uint8_t>(FrameType::kLabelResp)) {
+        for (OwnedLabel& l : reply.labels) out.push_back(std::move(l));
+        break;
+      }
+      if (reply.type == static_cast<std::uint8_t>(FrameType::kError)) {
+        throw std::runtime_error("net client: server error " +
+                                 std::to_string(reply.error_code) + ": " +
+                                 reply.error_message);
+      }
     }
   }
-  throw std::runtime_error("net client: connection closed awaiting labels");
+  return out;
 }
 
 bool NetClient::ping() {

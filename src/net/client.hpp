@@ -86,8 +86,10 @@ class NetClient {
   /// carrying the server message on ERROR.
   std::vector<WireAnswer> query(std::span<const WireQuery> queries,
                                 bool labeled = false);
-  /// Fetches wire labels for \p vertices (QUERY_L addressing material).
+  /// Fetches wire labels for \p vertices (QUERY_L addressing material),
+  /// kLabelsPerRequest per LABEL_REQ so each LABEL_RESP fits one frame.
   std::vector<OwnedLabel> fetch_labels(std::span<const VertexId> vertices);
+  static constexpr std::size_t kLabelsPerRequest = 256;
   /// Round-trips a PING and returns true when the echo matched.
   bool ping();
 

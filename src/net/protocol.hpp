@@ -64,9 +64,9 @@
 ///
 /// LEB128, unsigned, little-endian groups of 7 bits, high bit =
 /// continuation, at most 10 bytes (64-bit range). Label *bits* are
-/// packed LSB-first into bytes exactly as util/bit_io.hpp's
-/// to_bytes/from_bytes do — a label round-trips server → client →
-/// server byte-identically.
+/// packed LSB-first into bytes exactly as util/bit_io.hpp's to_bytes
+/// packs them and BitReader reads them — a label round-trips server →
+/// client → server byte-identically.
 ///
 /// ## Error codes
 ///

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -85,9 +86,29 @@ struct NetServer::Impl {
   std::vector<PendingFrame> frames;
   std::vector<Conn*> doomed;  ///< dead conns to reap after the batch
 
+  // Per-frame decode scratch (reused: the loop allocates only to grow).
+  std::vector<WireQuery> queries;
+  std::vector<VertexId> label_vertices;
+  std::vector<WireLabel> wire_labels;
+
   // Label pre-validation scratch (reused per frame).
   std::vector<FlatScheme::LabelEntryView> scratch_entries;
   std::vector<Port> scratch_ports;
+
+  // The canonical wire labels of one generation: codec.encode(label(t))
+  // packed to bytes, the bytes LABEL_REQ hands out. Encoded lazily, once
+  // per destination per generation, into one byte arena; bounded by the
+  // generation (at most n entries of its own label sizes), never by what
+  // peers send. Holding `pkg` keeps a retired generation's address from
+  // being reused by the live one (ABA) while the entries name it.
+  struct CanonicalLabel {
+    std::size_t off = 0;     ///< first byte in `canon_bytes`
+    std::uint32_t bits = 0;  ///< 0 = not encoded yet
+  };
+  SchemePackagePtr canon_pkg;
+  std::vector<CanonicalLabel> canon;  ///< indexed by vertex
+  std::vector<std::uint8_t> canon_bytes;
+  std::uint64_t canon_encoded = 0;    ///< entries with bits != 0
 
   // Encode scratch.
   std::vector<std::uint8_t> payload;
@@ -192,6 +213,10 @@ NetServer::~NetServer() {
   delete impl_;
 }
 
+std::uint64_t NetServer::canonical_labels() const noexcept {
+  return impl_->canon_encoded;
+}
+
 void NetServer::stop() noexcept {
   impl_->stop.store(true, std::memory_order_release);
   const std::uint64_t one = 1;
@@ -281,21 +306,61 @@ bool labels_supported(const RouteService& service) {
   return service.options().scheme == SchemeKind::kTZDirect;
 }
 
+/// Points the canonical-label cache at \p pkg, dropping the entries of
+/// any other generation.
+void sync_canonical(NetServer::Impl& im, const SchemePackagePtr& pkg) {
+  if (im.canon_pkg == pkg) return;
+  im.canon_pkg = pkg;
+  im.canon.assign(pkg->graph->num_vertices(), {});
+  im.canon_bytes.clear();
+  im.canon_encoded = 0;
+}
+
+/// Vertex \p t's canonical wire label in the cached generation, encoded
+/// on first use. The bytes alias the arena: the next encode may move them.
+WireLabel canonical_label(NetServer::Impl& im, VertexId t) {
+  NetServer::Impl::CanonicalLabel& c = im.canon[t];
+  if (c.bits == 0) {
+    BitWriter w;
+    im.canon_pkg->tz->label_codec().encode(im.canon_pkg->tz->label(t), w);
+    const std::vector<std::uint8_t> bytes = to_bytes(w);
+    c.off = im.canon_bytes.size();
+    c.bits = static_cast<std::uint32_t>(w.bit_size());
+    im.canon_bytes.insert(im.canon_bytes.end(), bytes.begin(), bytes.end());
+    ++im.canon_encoded;
+  }
+  WireLabel l;
+  l.label_bits = c.bits;
+  l.bytes = {im.canon_bytes.data() + c.off, (std::size_t{c.bits} + 7) / 8};
+  return l;
+}
+
 /// Validates one wire label against the serving codec without touching
 /// the batch: structurally bad bytes are the CLIENT's fault and must
 /// cost only their own frame, never the coalesced batch (route() throws
-/// batch-wide). Returns false on any structural problem.
+/// batch-wide). A label byte-equal to the generation's own encoding of
+/// the destination it names is valid by construction; any other bytes
+/// get the full decode. Returns false on any structural problem.
 bool prevalidate_label(LoopCtx& ctx, const SchemePackage& pkg,
                        const WireQuery& q) {
-  ctx.im.scratch_entries.clear();
-  ctx.im.scratch_ports.clear();
+  const LabelCodec& codec = pkg.tz->label_codec();
+  const VertexId n = pkg.graph->num_vertices();
   try {
-    const BitWriter bw = from_bytes(q.label, q.label_bits);
-    BitReader r(bw);
-    const VertexId t = decode_wire_label(
-        pkg.tz->label_codec(), pkg.graph->num_vertices(), r,
-        ctx.im.scratch_entries, ctx.im.scratch_ports);
-    return t < pkg.graph->num_vertices() && r.position() == q.label_bits;
+    const VertexId peeked = wire_label_target(codec, q.label, q.label_bits);
+    if (peeked < n) {
+      const WireLabel c = canonical_label(ctx.im, peeked);
+      if (c.label_bits == q.label_bits &&
+          std::equal(c.bytes.begin(), c.bytes.end(), q.label.begin(),
+                     q.label.end())) {
+        return true;
+      }
+    }
+    ctx.im.scratch_entries.clear();
+    ctx.im.scratch_ports.clear();
+    BitReader r(q.label, q.label_bits);
+    const VertexId t = decode_wire_label(codec, n, r, ctx.im.scratch_entries,
+                                         ctx.im.scratch_ports);
+    return t < n && r.position() == q.label_bits;
   } catch (const std::invalid_argument&) {
     return false;
   }
@@ -369,7 +434,8 @@ void serve_pending(LoopCtx& ctx) {
 void handle_query(LoopCtx& ctx, NetServer::Conn& c, const Frame& f,
                   bool labeled) {
   std::uint64_t req_id = 0;
-  std::vector<WireQuery> queries;
+  std::vector<WireQuery>& queries = ctx.im.queries;
+  queries.clear();
   if (!decode_query(f.payload, labeled, req_id, queries)) {
     if (ctx.im.ctr_rejected != nullptr) ctx.im.ctr_rejected->inc();
     push_error(ctx, c, kErrMalformed, req_id, "QUERY payload did not parse");
@@ -392,6 +458,7 @@ void handle_query(LoopCtx& ctx, NetServer::Conn& c, const Frame& f,
                "label-addressed queries need the flat tz serving path");
     return;
   }
+  if (labeled) sync_canonical(ctx.im, pkg);
   for (const WireQuery& q : queries) {
     const bool ok =
         q.s < n && (labeled ? prevalidate_label(ctx, *pkg, q) : q.t < n);
@@ -423,7 +490,8 @@ void handle_query(LoopCtx& ctx, NetServer::Conn& c, const Frame& f,
 }
 
 void handle_label_req(LoopCtx& ctx, NetServer::Conn& c, const Frame& f) {
-  std::vector<VertexId> vertices;
+  std::vector<VertexId>& vertices = ctx.im.label_vertices;
+  vertices.clear();
   if (!decode_label_req(f.payload, vertices)) {
     if (ctx.im.ctr_rejected != nullptr) ctx.im.ctr_rejected->inc();
     push_error(ctx, c, kErrMalformed, 0, "LABEL_REQ payload did not parse");
@@ -444,23 +512,24 @@ void handle_label_req(LoopCtx& ctx, NetServer::Conn& c, const Frame& f) {
       return;
     }
   }
-  // Encode each label through the codec; storage must outlive the spans.
-  const LabelCodec& codec = pkg->tz->label_codec();
-  std::vector<std::vector<std::uint8_t>> storage;
-  std::vector<WireLabel> labels;
-  storage.reserve(vertices.size());
-  labels.reserve(vertices.size());
+  // Answer from the canonical-label cache: every label encoded first
+  // (the arena may move while it grows), the spans taken after.
+  sync_canonical(ctx.im, pkg);
+  for (const VertexId v : vertices) canonical_label(ctx.im, v);
+  std::vector<WireLabel>& labels = ctx.im.wire_labels;
+  labels.clear();
   for (const VertexId v : vertices) {
-    BitWriter w;
-    codec.encode(pkg->tz->label(v), w);
-    storage.push_back(to_bytes(w));
-    WireLabel l;
-    l.label_bits = static_cast<std::uint32_t>(w.bit_size());
-    l.bytes = storage.back();
-    labels.push_back(l);
+    labels.push_back(canonical_label(ctx.im, v));
   }
   ctx.im.payload.clear();
   encode_label_resp(ctx.im.payload, labels);
+  if (ctx.im.payload.size() > kMaxPayload) {
+    if (ctx.im.ctr_rejected != nullptr) ctx.im.ctr_rejected->inc();
+    push_error(ctx, c, kErrMalformed, 0,
+               "LABEL_REQ asks for more label bytes than one LABEL_RESP "
+               "frame holds; ask for fewer vertices per request");
+    return;
+  }
   push_frame(c, static_cast<std::uint8_t>(FrameType::kLabelResp),
              ctx.im.payload);
 }

@@ -23,6 +23,18 @@
 /// and everyone else's queries survive), which is why route() — whose
 /// contract throws for the whole batch — never sees untrusted bytes.
 ///
+/// Label checks skip what the server issued itself. The loop caches the
+/// live generation's canonical wire labels (codec.encode(label(t)) as
+/// bytes, what LABEL_REQ answers with), encoded lazily once per
+/// destination per generation. The cache is keyed on the generation (it
+/// holds that package, and a new one empties it) and on the destination
+/// peeked from the label's id field; it holds at most n entries of the
+/// generation's own label sizes, never more for what peers send. A
+/// QUERY_L label whose label_bits and bytes equal the cached encoding is
+/// valid by construction and is not decoded. Non-canonical bytes (other
+/// pad bits, a flipped bit, a label of an older generation) still get
+/// the full decode_wire_label check, read in place from the frame.
+///
 /// Observability rides the service's own registry: croute_net_* counters
 /// and gauge, socket queue wait recorded into the service's
 /// croute_queue_wait_us histogram (driver shard), and accept/decode/
@@ -80,6 +92,9 @@ class NetServer {
   std::uint64_t connections_accepted() const noexcept { return accepted_; }
   std::uint64_t frames_served() const noexcept { return frames_served_; }
   std::uint64_t queries_served() const noexcept { return queries_served_; }
+  /// Canonical wire labels encoded for the generation the label cache
+  /// holds (at most n; reset whenever a new generation is seen).
+  std::uint64_t canonical_labels() const noexcept;
 
   // Implementation types; opaque to users, defined in server.cpp (the
   // free-function loop body there needs to name them, so they are

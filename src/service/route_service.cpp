@@ -359,8 +359,7 @@ RouteAnswer RouteService::route_one(const RouteRequest& request) const {
   // arenas to share; the allocations are why the label form is not HOT).
   std::vector<FlatScheme::LabelEntryView> entries;
   std::vector<Port> ports;
-  const BitWriter bw = from_bytes(request.label, request.label_bits);
-  BitReader r(bw);
+  BitReader r(request.label, request.label_bits);
   const VertexId t = decode_wire_label(pkg->tz->label_codec(), num_vertices_,
                                        r, entries, ports);
   CROUTE_REQUIRE(r.position() == request.label_bits,
@@ -458,8 +457,7 @@ void RouteService::group_by_destination(
     for (DestMemo& m : dest_memos_) {
       if (m.lab_first == kNoRequest) continue;
       const RouteRequest& rq = requests[m.lab_first];
-      const BitWriter bw = from_bytes(rq.label, rq.label_bits);
-      BitReader r(bw);
+      BitReader r(rq.label, rq.label_bits);
       m.lab_begin = static_cast<std::uint32_t>(lab_entries_.size());
       const VertexId t = decode_wire_label(
           pkg.tz->label_codec(), num_vertices_, r, lab_entries_, lab_ports_);
@@ -509,17 +507,8 @@ void RouteService::route(std::span<const RouteRequest> requests,
     } else {
       CROUTE_REQUIRE(options_.scheme == SchemeKind::kTZDirect,
                      "label-addressed requests need the kTZDirect scheme");
-      const LabelCodec& codec = pkg->tz->label_codec();
-      const std::uint32_t id_bits = codec.id_bits();
-      CROUTE_REQUIRE(rq.label_bits >= id_bits &&
-                         std::uint64_t{8} * rq.label.size() >= rq.label_bits,
-                     "label too short for its id field");
-      std::uint64_t v = 0;
-      const std::uint32_t nbytes = (id_bits + 7) / 8;
-      for (std::uint32_t b = 0; b < nbytes; ++b) {
-        v |= std::uint64_t{rq.label[b]} << (8 * b);
-      }
-      q.t = static_cast<VertexId>(v & ((std::uint64_t{1} << id_bits) - 1));
+      q.t = wire_label_target(pkg->tz->label_codec(), rq.label,
+                              rq.label_bits);
     }
   }
   const std::span<const RouteQuery> queries{resolved_};
@@ -543,25 +532,7 @@ void RouteService::route(std::span<const RouteRequest> requests,
   // while the other lanes compute. Answer i lands in slot i and its path
   // in the worker's arena, so results stay byte-identical for every
   // group size and thread count.
-  FlatBatchTarget target;
-  target.graph = pkg->graph.get();
-  target.flat = pkg->flat.get();
-  target.cowen = pkg->flat_cowen.get();
-  target.full = pkg->flat_full.get();
-  switch (options_.scheme) {
-    case SchemeKind::kTZDirect:
-      target.kind = FlatServeKind::kTZDirect;
-      break;
-    case SchemeKind::kTZHandshake:
-      target.kind = FlatServeKind::kTZHandshake;
-      break;
-    case SchemeKind::kCowen:
-      target.kind = FlatServeKind::kCowen;
-      break;
-    case SchemeKind::kFullTable:
-      target.kind = FlatServeKind::kFullTable;
-      break;
-  }
+  const FlatBatchTarget target = flat_batch_target(*pkg);
   // A chunk holds a few pipeline generations so refills amortize while
   // the dynamic schedule stays responsive to skewed per-query cost.
   const std::uint32_t chunk =

@@ -128,9 +128,9 @@ struct RouteQuery {
 struct RouteRequest {
   VertexId s = kNoVertex;
   VertexId t = kNoVertex;  ///< destination vertex (vertex-addressed form)
-  /// LabelCodec bit stream packed LSB-first into bytes (to_bytes /
-  /// from_bytes, util/bit_io.hpp). Not owned: must stay alive for the
-  /// route() call serving it.
+  /// LabelCodec bit stream packed LSB-first into bytes (to_bytes, read
+  /// in place by BitReader, util/bit_io.hpp). Not owned: must stay alive
+  /// for the route() call serving it.
   std::span<const std::uint8_t> label;
   std::uint32_t label_bits = 0;     ///< exact bit length of `label`
   Weight exact = kUnknownDistance;  ///< true distance when known (stretch)

@@ -92,6 +92,29 @@ std::uint64_t SchemePackage::table_bits(VertexId v) const {
   return 0;
 }
 
+FlatBatchTarget flat_batch_target(const SchemePackage& pkg) {
+  FlatBatchTarget target;
+  target.graph = pkg.graph.get();
+  target.flat = pkg.flat.get();
+  target.cowen = pkg.flat_cowen.get();
+  target.full = pkg.flat_full.get();
+  switch (pkg.options.scheme) {
+    case SchemeKind::kTZDirect:
+      target.kind = FlatServeKind::kTZDirect;
+      break;
+    case SchemeKind::kTZHandshake:
+      target.kind = FlatServeKind::kTZHandshake;
+      break;
+    case SchemeKind::kCowen:
+      target.kind = FlatServeKind::kCowen;
+      break;
+    case SchemeKind::kFullTable:
+      target.kind = FlatServeKind::kFullTable;
+      break;
+  }
+  return target;
+}
+
 std::unique_ptr<ThreadPool> make_setup_pool(
     const RouteServiceOptions& options) {
   const unsigned threads = options.compile_threads != 0

@@ -27,6 +27,7 @@
 #include <memory>
 #include <string>
 
+#include "core/flat_batch.hpp"
 #include "core/flat_scheme.hpp"
 #include "core/incremental_rebuild.hpp"
 #include "core/tz_scheme.hpp"
@@ -176,6 +177,11 @@ struct SchemePackage {
 };
 
 using SchemePackagePtr = std::shared_ptr<const SchemePackage>;
+
+/// What the batch engine routes against in \p pkg: its flat views and
+/// the serve kind of its scheme. Views point into \p pkg, so keep it
+/// pinned while the target is in use.
+FlatBatchTarget flat_batch_target(const SchemePackage& pkg);
 
 /// The set-up pool a TZ generation is built or recovered on:
 /// options.compile_threads workers (0 = worker_count()), or null — serial

@@ -1,6 +1,7 @@
 #include "util/bit_io.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 namespace croute {
 
@@ -52,15 +53,34 @@ void BitWriter::write_varint(std::uint64_t value) {
   write_bits(value, 8);
 }
 
+BitReader::BitReader(std::span<const std::uint8_t> bytes, std::uint64_t bits)
+    : bytes_(bytes.data()), nbytes_(bytes.size()), limit_(bits) {
+  CROUTE_REQUIRE(bits <= std::uint64_t{8} * bytes.size(),
+                 "bit length exceeds the byte buffer");
+}
+
+std::uint64_t BitReader::load_word(std::uint64_t index) const noexcept {
+  std::uint64_t word = 0;
+  if (index + 8 <= nbytes_) {
+    std::memcpy(&word, bytes_ + index, sizeof word);
+    return word;
+  }
+  for (std::uint64_t b = index; b < nbytes_; ++b) {
+    word |= std::uint64_t{bytes_[b]} << (8 * (b - index));
+  }
+  return word;
+}
+
 std::uint64_t BitReader::read_bits(std::uint32_t width) {
   CROUTE_REQUIRE(width <= 64, "bit width must be at most 64");
   CROUTE_REQUIRE(pos_ + width <= limit_, "bit stream exhausted");
   if (width == 0) return 0;
-  const std::uint64_t word_index = pos_ >> 6;
-  const std::uint32_t offset = static_cast<std::uint32_t>(pos_ & 63);
-  std::uint64_t value = (*words_)[word_index] >> offset;
+  const std::uint64_t index = pos_ >> 3;
+  const std::uint32_t offset = static_cast<std::uint32_t>(pos_ & 7);
+  std::uint64_t value = load_word(index) >> offset;
   if (offset + width > 64) {
-    value |= (*words_)[word_index + 1] << (64 - offset);
+    // The field's last bits sit in a ninth byte, inside the stream.
+    value |= std::uint64_t{bytes_[index + 8]} << (64 - offset);
   }
   pos_ += width;
   if (width < 64) value &= (std::uint64_t{1} << width) - 1;
@@ -69,11 +89,21 @@ std::uint64_t BitReader::read_bits(std::uint32_t width) {
 
 std::uint64_t BitReader::read_unary() {
   std::uint64_t count = 0;
-  while (read_bits(1) == 0) {
-    ++count;
-    CROUTE_ASSERT(count <= limit_, "malformed unary code");
+  for (;;) {
+    CROUTE_REQUIRE(pos_ < limit_, "bit stream exhausted");
+    const std::uint32_t offset = static_cast<std::uint32_t>(pos_ & 7);
+    const auto take = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(limit_ - pos_, 64 - offset));
+    std::uint64_t window = load_word(pos_ >> 3) >> offset;
+    if (take < 64) window &= (std::uint64_t{1} << take) - 1;
+    if (window != 0) {
+      const auto zeros = static_cast<std::uint32_t>(std::countr_zero(window));
+      pos_ += zeros + 1;
+      return count + zeros;
+    }
+    pos_ += take;
+    count += take;
   }
-  return count;
 }
 
 std::uint64_t BitReader::read_gamma() {
@@ -104,29 +134,6 @@ std::vector<std::uint8_t> to_bytes(const BitWriter& w) {
   const std::uint32_t tail = static_cast<std::uint32_t>(w.bit_size() & 7);
   if (tail != 0) out[nbytes - 1] &= static_cast<std::uint8_t>((1u << tail) - 1);
   return out;
-}
-
-BitWriter from_bytes(std::span<const std::uint8_t> bytes, std::uint64_t bits) {
-  CROUTE_REQUIRE(bits <= std::uint64_t{8} * bytes.size(),
-                 "bit length exceeds the byte buffer");
-  BitWriter w;
-  std::uint64_t done = 0;
-  while (done < bits) {
-    // done stays 64-aligned except on the final chunk, so done / 8 is a
-    // byte offset.
-    const std::uint32_t width =
-        static_cast<std::uint32_t>(std::min<std::uint64_t>(64, bits - done));
-    const std::uint64_t base = done >> 3;
-    std::uint64_t word = 0;
-    const std::uint32_t nbytes = (width + 7) / 8;
-    for (std::uint32_t b = 0; b < nbytes && base + b < bytes.size(); ++b) {
-      word |= std::uint64_t{bytes[base + b]} << (8 * b);
-    }
-    if (width < 64) word &= (std::uint64_t{1} << width) - 1;
-    w.write_bits(word, width);
-    done += width;
-  }
-  return w;
 }
 
 std::uint64_t BitReader::read_varint() {

@@ -10,6 +10,7 @@
 
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -71,16 +72,30 @@ class BitWriter {
   std::uint64_t bits_ = 0;
 };
 
-/// Sequential reader over a BitWriter's output.
+/// Sequential reader over a bit stream packed LSB-first in bytes: a
+/// BitWriter's words (read in place) or a wire label's bytes (read in
+/// place, no copy). Every read is bounds-checked against the stream's bit
+/// length and throws std::invalid_argument past it.
 class BitReader {
  public:
+  static_assert(std::endian::native == std::endian::little,
+                "BitReader(const BitWriter&) reads the words as bytes");
+
   explicit BitReader(const BitWriter& w) noexcept
-      : words_(&w.words()), limit_(w.bit_size()) {}
+      : bytes_(reinterpret_cast<const std::uint8_t*>(w.words().data())),
+        nbytes_(8 * w.words().size()),
+        limit_(w.bit_size()) {}
+
+  /// Reads the first \p bits bits packed LSB-first in \p bytes (bit i of
+  /// the stream is bit i%8 of byte i/8, the to_bytes layout). Requires
+  /// bytes to hold at least \p bits bits; pad bits beyond \p bits are
+  /// never read. \p bytes must outlive the reader.
+  BitReader(std::span<const std::uint8_t> bytes, std::uint64_t bits);
 
   /// Reads \p width bits (LSB-first). Requires enough bits remain.
   std::uint64_t read_bits(std::uint32_t width);
 
-  /// Reads one unary-coded value.
+  /// Reads one unary-coded value, a word of zeros at a time.
   std::uint64_t read_unary();
 
   /// Reads one Elias gamma-coded value (>= 1).
@@ -99,21 +114,19 @@ class BitReader {
   std::uint64_t remaining() const noexcept { return limit_ - pos_; }
 
  private:
-  const std::vector<std::uint64_t>* words_;
+  /// The 64 bits starting at byte \p index, zero-filled past the buffer.
+  std::uint64_t load_word(std::uint64_t index) const noexcept;
+
+  const std::uint8_t* bytes_;
+  std::uint64_t nbytes_;
   std::uint64_t limit_;
   std::uint64_t pos_ = 0;
 };
 
 /// Packs a BitWriter's stream into bytes, LSB-first (bit i of the stream
 /// is bit i%8 of byte i/8) — the wire representation of a bit-encoded
-/// label. Returns ceil(bit_size/8) bytes; trailing pad bits are zero.
+/// label, read back by BitReader's byte-span constructor. Returns
+/// ceil(bit_size/8) bytes; trailing pad bits are zero.
 std::vector<std::uint8_t> to_bytes(const BitWriter& w);
-
-/// Rebuilds a BitWriter from \p bits bits packed LSB-first in \p bytes
-/// (the inverse of to_bytes), so a BitReader can parse a stream received
-/// off the wire. Requires bytes to hold at least \p bits bits; pad bits
-/// beyond \p bits are ignored. Round-trip exact:
-/// from_bytes(to_bytes(w), w.bit_size()) reproduces w's stream.
-BitWriter from_bytes(std::span<const std::uint8_t> bytes, std::uint64_t bits);
 
 }  // namespace croute

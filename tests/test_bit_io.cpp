@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <vector>
 
@@ -209,6 +210,51 @@ TEST(BitIo, MixedStreamRandomizedRoundTrip) {
       ASSERT_EQ(got, op.value) << "op code " << op.code;
     }
     ASSERT_EQ(r.remaining(), 0u);
+  }
+}
+
+TEST(BitReader, CodesTruncatedAtEveryBitThrow) {
+  // Unary, gamma and delta values (runs of zeros past one 64-bit word
+  // included), packed to bytes and read in place from every prefix: the
+  // values that end before the cut read back unchanged, and the first
+  // one that runs past it throws std::invalid_argument, even when the
+  // bits it lacks sit in the pad of the prefix's last byte.
+  BitWriter w;
+  std::vector<std::pair<int, std::uint64_t>> ops;
+  std::vector<std::uint64_t> ends;  // stream position after each op
+  for (const std::uint64_t v : {0u, 1u, 5u, 63u, 64u, 130u}) {
+    w.write_unary(v);
+    ops.emplace_back(0, v);
+    ends.push_back(w.bit_size());
+  }
+  for (const std::uint64_t v : {std::uint64_t{1}, std::uint64_t{2},
+                                std::uint64_t{1000},
+                                (std::uint64_t{1} << 40) + 7}) {
+    w.write_gamma(v);
+    ops.emplace_back(1, v);
+    ends.push_back(w.bit_size());
+    w.write_delta(v);
+    ops.emplace_back(2, v);
+    ends.push_back(w.bit_size());
+  }
+  const std::vector<std::uint8_t> bytes = to_bytes(w);
+  for (std::uint64_t cut = 0; cut <= w.bit_size(); ++cut) {
+    BitReader r(bytes, cut);
+    std::size_t done = 0;
+    try {
+      for (; done < ops.size(); ++done) {
+        const auto& [code, value] = ops[done];
+        const std::uint64_t got = code == 0   ? r.read_unary()
+                                  : code == 1 ? r.read_gamma()
+                                              : r.read_delta();
+        ASSERT_EQ(got, value) << "cut " << cut << " op " << done;
+        ASSERT_LE(r.position(), cut) << "op " << done;
+      }
+    } catch (const std::invalid_argument&) {
+    }
+    const auto whole = static_cast<std::size_t>(
+        std::upper_bound(ends.begin(), ends.end(), cut) - ends.begin());
+    EXPECT_EQ(done, whole) << "cut " << cut;
   }
 }
 

@@ -12,7 +12,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -307,7 +310,7 @@ TEST(WirePayload, AnswerVersionsDiffer) {
 }
 
 // ---------------------------------------------------------------------
-// bit_io byte bridge (this PR's to_bytes/from_bytes)
+// bit_io byte bridge (to_bytes, read back in place by BitReader)
 // ---------------------------------------------------------------------
 
 TEST(WireBits, ToBytesFromBytesRoundTrip) {
@@ -326,8 +329,7 @@ TEST(WireBits, ToBytesFromBytesRoundTrip) {
     }
     const std::vector<std::uint8_t> bytes = to_bytes(w);
     EXPECT_EQ(bytes.size(), (w.bit_size() + 7) / 8);
-    const BitWriter back = from_bytes(bytes, w.bit_size());
-    BitReader r(back);
+    BitReader r(bytes, w.bit_size());
     for (const auto& [value, bits] : expect) {
       EXPECT_EQ(r.read_bits(bits), value);
     }
@@ -375,9 +377,165 @@ void with_server(RouteService& service, net::NetServerOptions nopt,
   loop.join();
 }
 
+/// Raw loopback socket to \p port, without the HELLO handshake (the
+/// server then speaks kProtocolVersion), so a test controls exactly which
+/// bytes arrive in one write.
+int raw_connect(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return fd;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// One reply frame read off a raw socket.
+struct RawReply {
+  std::uint8_t type = 0;
+  std::uint64_t req_id = 0;
+  std::uint32_t error_code = 0;
+  std::vector<WireAnswer> answers;
+};
+
+/// Reads \p count reply frames (fewer on EOF) from a raw socket, sorted
+/// by req_id: a rejected frame is answered at decode time, ahead of the
+/// batch's answers.
+std::vector<RawReply> read_raw_replies(int fd, std::size_t count) {
+  FrameDecoder dec;
+  std::vector<RawReply> out;
+  while (out.size() < count) {
+    std::uint8_t buf[4096];
+    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+    if (n <= 0) break;
+    dec.feed(std::span<const std::uint8_t>(buf, static_cast<std::size_t>(n)));
+    Frame f;
+    while (dec.next(f)) {
+      RawReply r;
+      r.type = f.type;
+      if (f.type == static_cast<std::uint8_t>(FrameType::kAnswer)) {
+        EXPECT_TRUE(net::decode_answer(f.payload, net::kProtocolVersion,
+                                       r.req_id, r.answers));
+      } else if (f.type == static_cast<std::uint8_t>(FrameType::kError)) {
+        std::string message;
+        EXPECT_TRUE(
+            net::decode_error(f.payload, r.error_code, r.req_id, message));
+      }
+      out.push_back(std::move(r));
+    }
+  }
+  std::sort(out.begin(), out.end(), [](const RawReply& a, const RawReply& b) {
+    return a.req_id < b.req_id;
+  });
+  return out;
+}
+
+/// One QUERY_L frame per label, each a single query from \p s, appended
+/// to one buffer; req_ids count up from \p first_req_id.
+std::vector<std::uint8_t> label_frames(
+    VertexId s, std::span<const net::OwnedLabel> labels,
+    std::uint64_t first_req_id) {
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    const WireQuery q[] = {{s, kNoVertex, labels[i].bytes, labels[i].bits}};
+    std::vector<std::uint8_t> payload;
+    net::encode_query(payload, first_req_id + i, q, true);
+    const std::vector<std::uint8_t> frame =
+        make_frame(static_cast<std::uint8_t>(FrameType::kQueryL), payload);
+    out.insert(out.end(), frame.begin(), frame.end());
+  }
+  return out;
+}
+
+/// One decode_wire_label outcome: a throw, or what it produced.
+struct WireDecode {
+  bool threw = false;
+  VertexId t = kNoVertex;
+  std::uint64_t position = 0;
+  std::vector<FlatScheme::LabelEntryView> entries;
+  std::vector<Port> ports;
+};
+
+WireDecode decode_outcome(const LabelCodec& codec, VertexId n,
+                          BitReader& r) {
+  WireDecode d;
+  try {
+    d.t = decode_wire_label(codec, n, r, d.entries, d.ports);
+    d.position = r.position();
+  } catch (const std::invalid_argument&) {
+    d.threw = true;
+  }
+  return d;
+}
+
+/// True when the full wire-label check rejects \p bits bits of \p bytes
+/// under \p pkg's codec — the server's verdict for non-canonical bytes.
+bool full_check_rejects(const SchemePackage& pkg,
+                        std::span<const std::uint8_t> bytes,
+                        std::uint32_t bits) {
+  BitReader r(bytes, bits);
+  const WireDecode d =
+      decode_outcome(pkg.tz->label_codec(), pkg.graph->num_vertices(), r);
+  return d.threw || d.t >= pkg.graph->num_vertices() || d.position != bits;
+}
+
 // ---------------------------------------------------------------------
 // decode_wire_label hostile inputs
 // ---------------------------------------------------------------------
+
+/// The copy path the in-place reader replaced: repack the bytes into a
+/// BitWriter and read that. Kept as the reference BitReader's byte-span
+/// form must match.
+BitWriter copy_into_writer(std::span<const std::uint8_t> bytes,
+                           std::uint64_t bits) {
+  BitWriter w;
+  std::uint64_t done = 0;
+  while (done < bits) {
+    const std::uint32_t width =
+        static_cast<std::uint32_t>(std::min<std::uint64_t>(64, bits - done));
+    const std::uint64_t base = done >> 3;
+    std::uint64_t word = 0;
+    for (std::uint32_t b = 0; b < (width + 7) / 8 && base + b < bytes.size();
+         ++b) {
+      word |= std::uint64_t{bytes[base + b]} << (8 * b);
+    }
+    if (width < 64) word &= (std::uint64_t{1} << width) - 1;
+    w.write_bits(word, width);
+    done += width;
+  }
+  return w;
+}
+
+/// Decodes \p bits bits of \p bytes in place and through the copy path;
+/// both must throw, or both must yield the same entries and ports.
+/// Returns whether they threw.
+bool expect_same_decode(const LabelCodec& codec, VertexId n,
+                        std::span<const std::uint8_t> bytes,
+                        std::uint64_t bits, const std::string& what) {
+  BitReader in_place(bytes, bits);
+  const WireDecode got = decode_outcome(codec, n, in_place);
+  const BitWriter copy = copy_into_writer(bytes, bits);
+  BitReader copied(copy);
+  const WireDecode want = decode_outcome(codec, n, copied);
+  EXPECT_EQ(got.threw, want.threw) << what;
+  if (got.threw || want.threw) return true;
+  EXPECT_EQ(got.t, want.t) << what;
+  EXPECT_EQ(got.position, want.position) << what;
+  EXPECT_EQ(got.ports, want.ports) << what;
+  EXPECT_EQ(got.entries.size(), want.entries.size()) << what;
+  for (std::size_t i = 0;
+       i < std::min(got.entries.size(), want.entries.size()); ++i) {
+    EXPECT_EQ(got.entries[i].w, want.entries[i].w) << what;
+    EXPECT_EQ(got.entries[i].dfs_in, want.entries[i].dfs_in) << what;
+    EXPECT_EQ(got.entries[i].light_off, want.entries[i].light_off) << what;
+    EXPECT_EQ(got.entries[i].light_len, want.entries[i].light_len) << what;
+  }
+  return false;
+}
 
 TEST(WireLabelDecode, HostileInputsThrowCleanly) {
   NetFixture fx;
@@ -402,8 +560,8 @@ TEST(WireLabelDecode, HostileInputsThrowCleanly) {
   {
     const std::vector<std::uint8_t> bytes = to_bytes(w);
     const std::uint64_t cut = w.bit_size() / 2;
-    const BitWriter half = from_bytes(bytes, cut);
-    BitReader r(half);
+    BitReader r(std::span<const std::uint8_t>(bytes).first((cut + 7) / 8),
+                cut);
     std::vector<FlatScheme::LabelEntryView> entries;
     std::vector<Port> ports;
     EXPECT_THROW(decode_wire_label(codec, n, r, entries, ports),
@@ -418,6 +576,42 @@ TEST(WireLabelDecode, HostileInputsThrowCleanly) {
     EXPECT_THROW(decode_wire_label(codec, 3, r, entries, ports),
                  std::invalid_argument);
   }
+  // Every label of the instance, cut at every bit (the bytes a frame
+  // would carry for that length) and with each byte overwritten by 0xFF:
+  // the in-place reader agrees with the copy path on every input.
+  std::uint64_t inputs = 0;
+  std::uint64_t thrown = 0;
+  for (VertexId t = 0; t < n; ++t) {
+    BitWriter lw;
+    codec.encode(pkg->tz->label(t), lw);
+    const std::vector<std::uint8_t> bytes = to_bytes(lw);
+    const std::uint64_t bits = lw.bit_size();
+    for (std::uint64_t cut = 0; cut <= bits; ++cut) {
+      const std::span<const std::uint8_t> prefix =
+          std::span<const std::uint8_t>(bytes).first((cut + 7) / 8);
+      const bool threw = expect_same_decode(
+          codec, n, prefix, cut,
+          "label " + std::to_string(t) + " cut at " + std::to_string(cut));
+      ++inputs;
+      thrown += threw ? 1 : 0;
+      if (cut == bits) {
+        EXPECT_FALSE(threw) << "label " << t;
+      }
+    }
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      std::vector<std::uint8_t> mutated = bytes;
+      mutated[i] = 0xFF;
+      thrown += expect_same_decode(codec, n, mutated, bits,
+                                   "label " + std::to_string(t) +
+                                       " byte " + std::to_string(i) +
+                                       " = 0xFF")
+                    ? 1
+                    : 0;
+      ++inputs;
+    }
+  }
+  EXPECT_GT(thrown, 0u);
+  EXPECT_LT(thrown, inputs);
 }
 
 // ---------------------------------------------------------------------
@@ -583,6 +777,22 @@ TEST(NetServe, BadFramesGetErrorsAndGoodQueriesStillServe) {
     oob[0] = {0, n, {}, 0};
     EXPECT_THROW(client.query(oob, false), std::runtime_error);
     EXPECT_EQ(client.query(good, false).size(), 1u);
+
+    // A LABEL_REQ whose labels overflow one LABEL_RESP frame: ERROR for
+    // that request, and the server keeps serving (it used to throw out
+    // of its loop).
+    std::vector<VertexId> many(8000);
+    for (std::size_t i = 0; i < many.size(); ++i) {
+      many[i] = static_cast<VertexId>(i % n);
+    }
+    client.send_label_req(many);
+    net::Reply reply;
+    ASSERT_TRUE(client.read_reply(reply));
+    EXPECT_EQ(reply.type, static_cast<std::uint8_t>(FrameType::kError));
+    EXPECT_EQ(reply.error_code, net::kErrMalformed);
+    EXPECT_EQ(client.query(good, false).size(), 1u);
+    // fetch_labels splits the same ask into requests that fit.
+    EXPECT_EQ(client.fetch_labels(many).size(), many.size());
   });
 }
 
@@ -636,14 +846,8 @@ TEST(NetServe, FramingErrorDropsConnectionLoudly) {
   NetFixture fx;
   RouteService service(fx.g, fx.options(SchemeKind::kTZDirect));
   with_server(service, {}, [&](net::NetClient&, net::NetServer& server) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    const int fd = raw_connect(server.port());
     ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(server.port());
-    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
-              0);
     const std::uint8_t poison[] = {0xB0, 0x00};  // reserved type
     ASSERT_EQ(::send(fd, poison, sizeof poison, 0),
               static_cast<ssize_t>(sizeof poison));
@@ -678,6 +882,172 @@ TEST(NetServe, FramingErrorDropsConnectionLoudly) {
     EXPECT_TRUE(got_error);
     EXPECT_TRUE(got_eof);
   });
+}
+
+TEST(NetServe, NonCanonicalLabelBytesGetTheFullCheck) {
+  // One write, one epoll pass, one batch of three QUERY_L frames for the
+  // same destination: its canonical label (the cached bytes LABEL_REQ
+  // hands out), a copy with one bit flipped, and the canonical label with
+  // its pad bits set. Only the flipped copy fails, and only its frame.
+  NetFixture fx;
+  const VertexId n = fx.g.num_vertices();
+  RouteService service(fx.g, fx.options(SchemeKind::kTZDirect));
+  const SchemePackagePtr pkg = service.package();
+
+  with_server(service, {}, [&](net::NetClient& client,
+                               net::NetServer& server) {
+    // A destination whose label leaves pad bits in its last byte.
+    std::vector<net::OwnedLabel> labels;
+    VertexId t = 0;
+    for (; t < n; ++t) {
+      const VertexId one[] = {t};
+      labels = client.fetch_labels(one);
+      ASSERT_EQ(labels.size(), 1u);
+      if (labels[0].bits % 8 != 0) break;
+    }
+    ASSERT_LT(t, n);
+    const net::OwnedLabel canonical = labels[0];
+
+    // The first bit past the id field (so the frame still names t) whose
+    // flip the full check rejects.
+    net::OwnedLabel flipped = canonical;
+    bool rejected = false;
+    for (std::uint32_t bit = pkg->tz->label_codec().id_bits();
+         bit < canonical.bits && !rejected; ++bit) {
+      flipped.bytes = canonical.bytes;
+      flipped.bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      rejected = full_check_rejects(*pkg, flipped.bytes, flipped.bits);
+    }
+    ASSERT_TRUE(rejected);
+    ASSERT_EQ(wire_label_target(pkg->tz->label_codec(), flipped.bytes,
+                                flipped.bits),
+              t);
+
+    net::OwnedLabel padded = canonical;
+    padded.bytes.back() |= static_cast<std::uint8_t>(0xFFu
+                                                     << (canonical.bits % 8));
+    ASSERT_NE(padded.bytes, canonical.bytes);
+    ASSERT_FALSE(full_check_rejects(*pkg, padded.bytes, padded.bits));
+
+    const VertexId s = n / 2;
+    const net::OwnedLabel batch[] = {canonical, flipped, padded};
+    const std::vector<std::uint8_t> wire = label_frames(s, batch, 100);
+    const int fd = raw_connect(server.port());
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
+              static_cast<ssize_t>(wire.size()));
+    const std::vector<RawReply> replies = read_raw_replies(fd, 3);
+    ::close(fd);
+
+    const RouteAnswer want = service.route_one(RouteQuery{s, t});
+    ASSERT_EQ(replies.size(), 3u);
+    const std::uint8_t kinds[] = {
+        static_cast<std::uint8_t>(FrameType::kAnswer),
+        static_cast<std::uint8_t>(FrameType::kError),
+        static_cast<std::uint8_t>(FrameType::kAnswer)};
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(replies[i].type, kinds[i]) << i;
+      EXPECT_EQ(replies[i].req_id, 100 + i) << i;
+    }
+    EXPECT_EQ(replies[1].error_code, net::kErrMalformed);
+    for (const std::size_t i : {std::size_t{0}, std::size_t{2}}) {
+      ASSERT_EQ(replies[i].answers.size(), 1u) << i;
+      EXPECT_EQ(replies[i].answers[0].status,
+                static_cast<std::uint8_t>(want.status)) << i;
+      EXPECT_EQ(replies[i].answers[0].hops, want.hops) << i;
+      EXPECT_EQ(replies[i].answers[0].header_bits, want.header_bits) << i;
+    }
+  });
+}
+
+TEST(NetServe, LabelsFromARetiredGenerationGetTheFullCheck) {
+  // Labels fetched before a publish that widens port_bits (one vertex
+  // gains many links) are not the new generation's bytes: the server must
+  // check them against the new generation, not accept them from the old
+  // cache. A stale label the new codec rejects shares one write with a
+  // fresh one; only the stale frame fails (an accepted stale label would
+  // make route() throw for the whole batch).
+  NetFixture fx;
+  const VertexId n = fx.g.num_vertices();
+  RouteService service(fx.g, fx.options(SchemeKind::kTZDirect));
+  const SchemePackagePtr old_pkg = service.package();
+
+  GraphBuilder b(n);
+  for (VertexId u = 0; u < n; ++u) {
+    for (const Arc& a : fx.g.arcs(u)) {
+      if (u < a.head) b.add_edge(u, a.head, a.weight);
+    }
+  }
+  const VertexId hub = 0;
+  for (VertexId v = 1; v < n && fx.g.degree(hub) + v < 80; ++v) {
+    if (!b.has_edge(hub, v)) b.add_edge(hub, v, 1.0);
+  }
+  const SchemePackagePtr new_pkg = build_scheme_package(
+      std::make_shared<const Graph>(b.build()), service.options());
+  ASSERT_GT(new_pkg->tz->label_codec().tree_codec().port_bits,
+            old_pkg->tz->label_codec().tree_codec().port_bits);
+
+  // A destination whose old label the new generation rejects.
+  VertexId t = 0;
+  for (; t < n; ++t) {
+    BitWriter w;
+    old_pkg->tz->label_codec().encode(old_pkg->tz->label(t), w);
+    if (full_check_rejects(*new_pkg, to_bytes(w),
+                           static_cast<std::uint32_t>(w.bit_size()))) {
+      break;
+    }
+  }
+  ASSERT_LT(t, n);
+
+  net::NetServer server(service, {});
+  std::thread loop([&server] { server.run(); });
+  struct Join {
+    net::NetServer& server;
+    std::thread& loop;
+    void now() {
+      if (!loop.joinable()) return;
+      server.stop();
+      loop.join();
+    }
+    ~Join() { now(); }
+  } join{server, loop};
+
+  net::NetClient client;
+  client.connect("127.0.0.1", server.port());
+  std::vector<VertexId> every(n);
+  for (VertexId v = 0; v < n; ++v) every[v] = v;
+  const std::vector<net::OwnedLabel> old_labels = client.fetch_labels(every);
+  ASSERT_EQ(old_labels.size(), std::size_t{n});
+
+  service.publish(new_pkg);
+  const VertexId one[] = {t};
+  const std::vector<net::OwnedLabel> fresh = client.fetch_labels(one);
+  ASSERT_EQ(fresh.size(), 1u);
+  EXPECT_NE(fresh[0].bytes, old_labels[t].bytes);
+
+  const VertexId s = n - 1;
+  const net::OwnedLabel batch[] = {old_labels[t], fresh[0]};
+  const std::vector<std::uint8_t> wire = label_frames(s, batch, 7);
+  const int fd = raw_connect(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
+            static_cast<ssize_t>(wire.size()));
+  const std::vector<RawReply> replies = read_raw_replies(fd, 2);
+  ::close(fd);
+  client.close();
+  join.now();
+
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(replies[0].type, static_cast<std::uint8_t>(FrameType::kError));
+  EXPECT_EQ(replies[0].error_code, net::kErrMalformed);
+  ASSERT_EQ(replies[1].type, static_cast<std::uint8_t>(FrameType::kAnswer));
+  const RouteAnswer want = service.route_one(RouteQuery{s, t});
+  ASSERT_EQ(replies[1].answers.size(), 1u);
+  EXPECT_EQ(replies[1].answers[0].hops, want.hops);
+  EXPECT_EQ(replies[1].answers[0].header_bits, want.header_bits);
+  // The publish dropped the n entries of the retired generation; the new
+  // one holds only t's.
+  EXPECT_EQ(server.canonical_labels(), 1u);
 }
 
 // ---------------------------------------------------------------------
